@@ -7,9 +7,10 @@ and a monomial argument w; the value is
                  * ((-1)^n q^(n(n-1)/2))^(s - r) * w^n.
 
 Evaluation walks the terms with exact ratio updates: multiplying by the
-new numerator factors and dividing out the new denominator factors keeps
-every intermediate a window-true :class:`~overgap.qseries.QSeries`, so
-the partial sum is exact to the requested order.  A numerator parameter
+new numerator factors (1 - a q^(n-1)) and dividing out the new
+denominator factors, one binomial at a time, keeps every intermediate a
+window-true :class:`~overgap.qseries.QSeries`, so the partial sum is
+exact to the requested order.  A numerator parameter
 q^(-k) (sign +1, no z) terminates the series after k + 1 terms; without
 one, the argument must carry a positive q-exponent so that later terms
 fall below the order.
@@ -17,7 +18,9 @@ fall below the order.
 The module also packages three verification routines: the classical
 q-Chu-Vandermonde summation, a three-parameter series transformation,
 and a chain of displayed forms connecting the smallest-part expansion of
-the bounded-gap generating function to its closed form.
+the bounded-gap generating function to its closed form.  Finite
+Pochhammer quotients are divided out one factor at a time; the general
+inverse is used only for the z-free infinite-product prefactors.
 """
 
 from __future__ import annotations
@@ -33,9 +36,12 @@ from .qseries import (
     pochhammer,
     pochhammer_infinite,
     qs_div_one_minus,
+    qs_div_pochhammer,
     qs_invert,
     qs_mul,
     qs_mul_finite,
+    qs_mul_one_minus,
+    qs_mul_pochhammer,
 )
 
 __all__ = [
@@ -145,8 +151,9 @@ def eval_phi(
     total = term.truncate(target_order)
     for n in range(1, terms):
         for param in spec.numerator:
-            factor = ZLaurentPoly._make({param.z_exp: -param.sign})
-            term = qs_mul_finite(term, [(0, _ONE), (param.q_exp + n - 1, factor)])
+            term = qs_mul_one_minus(
+                term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
+            )
         term = qs_div_one_minus(term, QMonomial.q_power(n))
         for param in spec.denominator:
             term = qs_div_one_minus(
@@ -178,12 +185,8 @@ def check_q_chu_vandermonde(
         (a, QMonomial.q_power(-n)), (c,), (c * QMonomial.q_power(n)) / a
     )
     lhs = eval_phi(spec, n + 1, target_order)
-    numerator = pochhammer(c / a, n, target_order)
-    drop = min(0, numerator.min_exp)
-    denominator_inv = qs_invert(
-        pochhammer(c, n, target_order - drop), target_order - drop
-    )
-    rhs = qs_mul(numerator, denominator_inv)
+    # eval_phi has already rejected c.q_exp < 1, so every factor divides
+    rhs = qs_div_pochhammer(pochhammer(c / a, n, target_order), c, n)
     return lhs.eq_up_to(rhs, target_order)
 
 
@@ -243,7 +246,8 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
     order = target_order
     q1 = QMonomial.q_power(1)
     neg_zq = QMonomial(-1, 1, 1)
-    z1 = ZLaurentPoly.monomial(1, 1)
+    # q + O(q^order), which is 0 + O(q) at order 1
+    q_term = (QSeries.one(order) * q1).truncate(order)
     lines: list[tuple[str, QSeries]] = []
 
     # 1: members grouped by smallest part r; the r-th summand is
@@ -252,7 +256,7 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
     for r in range(1, order):
         summand = QSeries.from_terms({r: _ONE_PLUS_Z}, order)
         for j in range(1, t):
-            summand = qs_mul_finite(summand, [(0, _ONE), (r + j, z1)])
+            summand = qs_mul_one_minus(summand, QMonomial(-1, 1, r + j))
         for j in range(t + 1):
             summand = qs_div_one_minus(summand, QMonomial.q_power(r + j))
         acc = acc + summand
@@ -260,16 +264,14 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
 
     # 2: the same sum with the factors bundled into Pochhammer quotients:
     #    (1+z) sum_{r>=1} q^r (q)_{r-1} (-zq)_{r+t-1} / ((q)_{r+t} (-zq)_r)
-    term = QSeries.from_terms({1: _ONE}, order)
-    term = qs_mul(term, pochhammer(neg_zq, t, order))
-    term = qs_mul(term, qs_invert(pochhammer(q1, t + 1, order), order))
+    term = qs_div_pochhammer(qs_mul_pochhammer(q_term, neg_zq, t), q1, t + 1)
     term = qs_div_one_minus(term, neg_zq)
     total = QSeries.zero(order)
     r = 1
     while r < order and not term.is_zero():
         total = total + term.truncate(order)
         term = qs_mul_finite(term, [(1, _ONE), (r + 1, _MINUS_ONE)])
-        term = qs_mul_finite(term, [(0, _ONE), (r + t, z1)])
+        term = qs_mul_one_minus(term, QMonomial(-1, 1, r + t))
         term = qs_div_one_minus(term, QMonomial.q_power(r + t + 1))
         term = qs_div_one_minus(term, QMonomial(-1, 1, r + 1))
         r += 1
@@ -278,10 +280,9 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
     # 3: prefactor (1+z) q (-zq)_t / ((1+zq) (q)_{t+1}) times the series
     #    with numerator (q, q, -zq^{t+1}), denominator (-zq^2, q^{t+2}),
     #    argument q
-    prefactor = QSeries.from_terms({1: _ONE_PLUS_Z}, order)
-    prefactor = qs_mul(prefactor, pochhammer(neg_zq, t, order))
+    prefactor = qs_mul_pochhammer(q_term * _ONE_PLUS_Z, neg_zq, t)
     prefactor = qs_div_one_minus(prefactor, neg_zq)
-    prefactor = qs_mul(prefactor, qs_invert(pochhammer(q1, t + 1, order), order))
+    prefactor = qs_div_pochhammer(prefactor, q1, t + 1)
     spec_3 = HypergeometricSpec(
         (q1, q1, QMonomial(-1, 1, t + 1)),
         (QMonomial(-1, 1, 2), QMonomial.q_power(t + 2)),
@@ -314,9 +315,7 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
     # 5: -(-zq)_t / ((1-q^t) (q)_t) times (series - 1) for the
     #    terminating series with numerator (-z, q^{-t}), denominator
     #    (-zq), argument q^{t+1}
-    neg_pref = qs_mul(
-        pochhammer(neg_zq, t, order), qs_invert(pochhammer(q1, t, order), order)
-    ) * (-1)
+    neg_pref = qs_div_pochhammer(pochhammer(neg_zq, t, order), q1, t) * (-1)
     neg_pref = qs_div_one_minus(neg_pref, QMonomial.q_power(t))
     spec_5 = HypergeometricSpec(
         (QMonomial(-1, 1, 0), QMonomial.q_power(-t)),
@@ -328,9 +327,7 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
 
     # 6: line 5 with the series summed by q-Chu-Vandermonde to
     #    (q)_t / (-zq)_t
-    summed = qs_mul(
-        pochhammer(q1, t, order), qs_invert(pochhammer(neg_zq, t, order), order)
-    )
+    summed = qs_div_pochhammer(pochhammer(q1, t, order), neg_zq, t)
     lines.append(("chu_closed_form", qs_mul(neg_pref, summed - 1)))
 
     # 7: the closed product form

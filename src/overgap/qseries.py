@@ -8,6 +8,12 @@ is claimed.  All operations are exact and propagate the tightest window
 the operands justify, so "equal up to order N" is always a statement
 about coefficients that are actually known.
 
+Finite Pochhammer products and quotients are built one binomial factor
+at a time: :func:`qs_mul_one_minus` multiplies by ``(1 - a*q^k)`` and
+:func:`qs_div_one_minus` divides by it, each in one pass over the window
+with no general convolution.  :func:`qs_mul` and :func:`qs_invert` remain
+the general product and inverse, for factors that are not binomials.
+
 Instances of :class:`ZLaurentPoly`, :class:`QMonomial` and
 :class:`QSeries` are immutable values; every operation returns a fresh
 object.
@@ -31,10 +37,13 @@ __all__ = [
     "qs_mul",
     "qs_invert",
     "qs_div_one_minus",
+    "qs_mul_one_minus",
     "qs_mul_finite",
     "pochhammer",
     "pochhammer_min_exp",
     "pochhammer_infinite",
+    "qs_mul_pochhammer",
+    "qs_div_pochhammer",
     "bounded_gap_overpartition_gf",
     "bounded_gap_partition_gf",
 ]
@@ -687,6 +696,44 @@ def qs_div_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
     )
 
 
+def qs_mul_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
+    """Multiply by (1 - mono), for a q-exponent of any sign.
+
+    The result window is the one :func:`qs_mul_finite` gives for the
+    factor [(0, 1), (mono.q_exp, -mono)]: the width of ``a``'s window,
+    shifted by min(0, mono.q_exp).  Each output row is one input row plus
+    one shifted input row, so no general convolution runs.
+    """
+    step = mono.q_exp
+    shift = min(0, step)
+    if a.is_zero():
+        return QSeries.zero(a.order + shift)
+    coeffs = a.coeffs
+    size = len(coeffs)
+    # row i is coeffs[i - one_at] - mono * coeffs[i - mono_at]; one offset is 0
+    one_at = -shift
+    mono_at = step - shift
+    z_shift, neg_sign = mono.z_exp, -mono.sign
+    rows: list[ZLaurentPoly] = []
+    for i in range(min(a.order - a.min_exp, size + max(one_at, mono_at))):
+        j = i - one_at
+        base = coeffs[j] if 0 <= j < size else _Z_ZERO
+        k = i - mono_at
+        if not 0 <= k < size or not coeffs[k]:
+            rows.append(base)
+            continue
+        row = dict(base._terms)
+        for exp, coeff in coeffs[k]._terms.items():
+            key = exp + z_shift
+            total = row.get(key, 0) + neg_sign * coeff
+            if total:
+                row[key] = total
+            elif key in row:
+                del row[key]
+        rows.append(ZLaurentPoly._make(row))
+    return QSeries(a.min_exp + shift, rows, a.order + shift)
+
+
 # -- Pochhammer symbols ----------------------------------------------------
 
 
@@ -703,11 +750,8 @@ def pochhammer(a: QMonomial, n: int, target_order: int) -> QSeries:
     """
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    total_drop = pochhammer_min_exp(a, n)
-    result = QSeries.one(target_order - total_drop)
-    neg = ZLaurentPoly._make({a.z_exp: -a.sign})
-    for k in range(n):
-        result = qs_mul_finite(result, [(0, _Z_ONE), (a.q_exp + k, neg)])
+    result = QSeries.one(target_order - pochhammer_min_exp(a, n))
+    result = qs_mul_pochhammer(result, a, n)
     if result.order < target_order:
         raise AssertionError("pochhammer window accounting failed")
     return result.truncate(target_order)
@@ -717,19 +761,35 @@ def pochhammer_infinite(a: QMonomial, target_order: int) -> QSeries:
     """The infinite product (a; q)_inf truncated at ``target_order``.
 
     Converges coefficientwise only when a.q_exp >= 1; factors whose
-    q-exponent reaches the order contribute nothing below it.
+    q-exponent reaches the order contribute nothing below it, so this is
+    the finite product of the factors below the order.
     """
     if a.q_exp < 1:
         raise DivergentProduct(
             f"(a; q)_inf needs a.q_exp >= 1 for coefficientwise convergence, got {a.q_exp}"
         )
-    result = QSeries.one(target_order)
-    neg = ZLaurentPoly._make({a.z_exp: -a.sign})
-    k = 0
-    while a.q_exp + k < target_order:
-        result = qs_mul_finite(result, [(0, _Z_ONE), (a.q_exp + k, neg)])
-        k += 1
-    return result.truncate(target_order)
+    return pochhammer(a, max(0, target_order - a.q_exp), target_order)
+
+
+def qs_mul_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
+    """Multiply by (b; q)_n one factor (1 - b*q^k) at a time.
+
+    Each factor with a negative q-exponent lowers the window by that much,
+    as in :func:`qs_mul_one_minus`.
+    """
+    for k in range(n):
+        a = qs_mul_one_minus(a, b * QMonomial.q_power(k))
+    return a
+
+
+def qs_div_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
+    """Divide by (b; q)_n one factor (1 - b*q^k) at a time.
+
+    Needs b.q_exp >= 1; keeps the window of ``a``.
+    """
+    for k in range(n):
+        a = qs_div_one_minus(a, b * QMonomial.q_power(k))
+    return a
 
 
 # -- closed-form generating functions --------------------------------------
@@ -747,9 +807,7 @@ def bounded_gap_overpartition_gf(t: int, order: int, z_tracked: bool = True) -> 
     if t < 1:
         raise ValueError("the gap bound t must be a positive integer")
     mark = QMonomial(-1, 1 if z_tracked else 0, 1)
-    numerator = pochhammer(mark, t, order)
-    denominator_inv = qs_invert(pochhammer(QMonomial.q_power(1), t, order), order)
-    ratio = qs_mul(numerator, denominator_inv) - 1
+    ratio = qs_div_pochhammer(pochhammer(mark, t, order), QMonomial.q_power(1), t) - 1
     return qs_div_one_minus(ratio, QMonomial.q_power(t))
 
 
@@ -762,5 +820,5 @@ def bounded_gap_partition_gf(t: int, order: int) -> QSeries:
     """
     if t < 1:
         raise ValueError("the gap bound t must be a positive integer")
-    inv = qs_invert(pochhammer(QMonomial.q_power(1), t, order), order)
+    inv = qs_div_pochhammer(QSeries.one(order), QMonomial.q_power(1), t)
     return qs_div_one_minus(inv - 1, QMonomial.q_power(t))

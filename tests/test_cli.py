@@ -234,6 +234,15 @@ def test_verify_env_rejects_garbage(capsys, monkeypatch):
     assert code == 1 and "OVERPART_DEFAULT_ORDER" in err
 
 
+@pytest.mark.parametrize("suite", ["chain", "all"])
+def test_verify_order_one(capsys, suite):
+    # every series is 0 + O(q) at order 1, so each suite passes
+    code, out, err = run(capsys, "verify", "--suite", suite, "--order", "1")
+    assert code == 0 and err == ""
+    entries = json.loads(out)
+    assert entries and all(entry["pass"] for entry in entries)
+
+
 def test_verify_bad_range(capsys):
     assert run(capsys, "verify", "--t", "5..1")[0] == 1
     assert run(capsys, "verify", "--t", "x")[0] == 1

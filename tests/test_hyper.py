@@ -22,11 +22,15 @@ from overgap.partitions import gf_from_enumeration
 from overgap.qseries import (
     QMonomial,
     QSeries,
+    ZLaurentPoly,
     bounded_gap_overpartition_gf,
     pochhammer,
+    pochhammer_infinite,
     qs_add,
+    qs_div_one_minus,
     qs_invert,
     qs_mul,
+    qs_mul_finite,
 )
 
 Q = QMonomial.q_power
@@ -218,6 +222,86 @@ def test_chain_last_line_is_closed_form():
 def test_chain_lines_differ_across_bounds():
     # negative control: the chain is not comparing zeros to zeros
     assert not chain_lines(2, 10)[0][1].eq_up_to(chain_lines(3, 10)[0][1], 10)
+
+
+def legacy_chain_lines(t, order):
+    """The chain with every Pochhammer quotient taken through a general
+    inverse and product, and every numerator factor through qs_mul_finite."""
+    one, minus_one = ZLaurentPoly.one(), ZLaurentPoly.const(-1)
+    one_plus_z, z1 = ZLaurentPoly({0: 1, 1: 1}), ZLaurentPoly({1: 1})
+
+    def quotient(num, den):
+        return qs_mul(num, qs_invert(den, order))
+
+    acc = QSeries.zero(order)
+    for r in range(1, order):
+        summand = QSeries.from_terms({r: one_plus_z}, order)
+        for j in range(1, t):
+            summand = qs_mul_finite(summand, [(0, one), (r + j, z1)])
+        for j in range(t + 1):
+            summand = qs_div_one_minus(summand, Q(r + j))
+        acc = acc + summand
+    lines = [acc]
+
+    term = QSeries.from_terms({1: one}, order)
+    term = qs_mul(term, pochhammer(NEG_ZQ, t, order))
+    term = quotient(term, pochhammer(Q(1), t + 1, order))
+    term = qs_div_one_minus(term, NEG_ZQ)
+    total = QSeries.zero(order)
+    r = 1
+    while r < order and not term.is_zero():
+        total = total + term.truncate(order)
+        term = qs_mul_finite(term, [(1, one), (r + 1, minus_one)])
+        term = qs_mul_finite(term, [(0, one), (r + t, z1)])
+        term = qs_div_one_minus(term, Q(r + t + 1))
+        term = qs_div_one_minus(term, QMonomial(-1, 1, r + 1))
+        r += 1
+    lines.append(total * one_plus_z)
+
+    prefactor = QSeries.from_terms({1: one_plus_z}, order)
+    prefactor = qs_mul(prefactor, pochhammer(NEG_ZQ, t, order))
+    prefactor = qs_div_one_minus(prefactor, NEG_ZQ)
+    prefactor = quotient(prefactor, pochhammer(Q(1), t + 1, order))
+    spec_3 = HypergeometricSpec(
+        (Q(1), Q(1), QMonomial(-1, 1, t + 1)), (QMonomial(-1, 1, 2), Q(t + 2)), Q(1)
+    )
+    lines.append(qs_mul(prefactor, eval_phi(spec_3, None, order)))
+
+    inf_num = qs_mul(
+        pochhammer_infinite(Q(t + 1), order), pochhammer_infinite(Q(2), order)
+    )
+    inf_den = qs_mul(
+        pochhammer_infinite(Q(t + 2), order), pochhammer_infinite(Q(1), order)
+    )
+    spec_4 = HypergeometricSpec(
+        (Q(1), NEG_ZQ, Q(1 - t)), (QMonomial(-1, 1, 2), Q(2)), Q(t + 1)
+    )
+    pref_4 = qs_mul(prefactor, quotient(inf_num, inf_den))
+    lines.append(qs_mul(pref_4, eval_phi(spec_4, None, order)))
+
+    neg_pref = quotient(pochhammer(NEG_ZQ, t, order), pochhammer(Q(1), t, order)) * (-1)
+    neg_pref = qs_div_one_minus(neg_pref, Q(t))
+    spec_5 = HypergeometricSpec((NEG_Z, Q(-t)), (NEG_ZQ,), Q(t + 1))
+    lines.append(qs_mul(neg_pref, eval_phi(spec_5, t + 1, order) - 1))
+
+    summed = quotient(pochhammer(Q(1), t, order), pochhammer(NEG_ZQ, t, order))
+    lines.append(qs_mul(neg_pref, summed - 1))
+
+    closed = quotient(pochhammer(NEG_ZQ, t, order), pochhammer(Q(1), t, order)) - 1
+    lines.append(qs_div_one_minus(closed, Q(t)))
+    return lines
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 12])
+@pytest.mark.parametrize("order", [2, 7, 40])
+def test_chain_lines_match_general_kernels(t, order):
+    lines = [series for _, series in chain_lines(t, order)]
+    assert lines == legacy_chain_lines(t, order)
+
+
+def test_chain_at_order_one_is_all_zero():
+    for _, series in chain_lines(3, 1):
+        assert series == QSeries.zero(1)
 
 
 def test_compare_lines_detects_mismatch():

@@ -6,9 +6,11 @@ frozen here as literals.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import overgap.qseries as qseries
+from overgap.cli import main
 from overgap.qseries import (
     DivergentProduct,
     InsufficientOrder,
@@ -25,6 +27,7 @@ from overgap.qseries import (
     qs_invert,
     qs_mul,
     qs_mul_finite,
+    qs_mul_one_minus,
 )
 
 from helpers import (
@@ -326,6 +329,44 @@ def test_gf_t1_counts():
     assert [gf.zq_coeff(n, 0) for n in range(1, 5)] == [2, 4, 6, 8]
 
 
+def _legacy_overpartition_gf(t, order, z_tracked):
+    """The closed form through a general inverse and product."""
+    mark = QMonomial(-1, 1 if z_tracked else 0, 1)
+    inverse = qs_invert(pochhammer(Q(1), t, order), order)
+    return qs_div_one_minus(qs_mul(pochhammer(mark, t, order), inverse) - 1, Q(t))
+
+
+def _legacy_partition_gf(t, order):
+    inverse = qs_invert(pochhammer(Q(1), t, order), order)
+    return qs_div_one_minus(inverse - 1, Q(t))
+
+
+@pytest.mark.parametrize("t", list(range(1, 13)) + [20, 40])
+def test_gf_builders_match_general_kernels(t):
+    for order in (1, 2, 3, 31, 120):
+        for z_tracked in (True, False):
+            assert bounded_gap_overpartition_gf(
+                t, order, z_tracked
+            ) == _legacy_overpartition_gf(t, order, z_tracked)
+        assert bounded_gap_partition_gf(t, order) == _legacy_partition_gf(t, order)
+
+
+def test_closed_form_avoids_general_kernels(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general kernel called on the closed-form path")
+
+    expected = bounded_gap_overpartition_gf(6, 50)
+    monkeypatch.setattr(qseries, "qs_invert", forbidden)
+    monkeypatch.setattr(qseries, "qs_mul", forbidden)
+    assert bounded_gap_overpartition_gf(6, 50) == expected
+    assert not bounded_gap_overpartition_gf(6, 50, z_tracked=False).is_zero()
+    assert not bounded_gap_partition_gf(6, 50).is_zero()
+    assert not pochhammer(QMonomial(-1, 1, -2), 5, 20).is_zero()
+    for z in ("tracked", "zero", "one"):
+        assert main(["table", "--t", "6", "--max-n", "30", "--z", z]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # -- serialization -------------------------------------------------------
 
 
@@ -392,6 +433,26 @@ def test_mul_associates(a, b, c):
     rhs = qs_mul(a, qs_mul(b, c))
     order = min(lhs.order, rhs.order)
     assert lhs.truncate(order) == rhs.truncate(order)
+
+
+monomials = st.builds(
+    QMonomial,
+    st.sampled_from((1, -1)),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-4, max_value=4),
+)
+
+
+@given(q_series(), monomials)
+@example(QSeries.zero(3), QMonomial(1, 0, 2))
+@example(QSeries.zero(-2), QMonomial(-1, 1, -3))
+@example(QSeries(-2, [zp({0: 1}), zp({1: -2})], 1), QMonomial(1, 0, 0))
+@example(QSeries(-3, [zp({0: 2}), zp({})], 0), QMonomial(-1, 1, 0))
+@example(QSeries(-1, [zp({-1: 1, 2: 3})], 2), QMonomial(1, -1, -2))
+@example(QSeries(1, [zp({0: 1}), zp({1: 4})], 4), QMonomial(-1, 2, 1))
+def test_mul_one_minus_matches_mul_finite(a, mono):
+    expected = qs_mul_finite(a, [(0, zp({0: 1})), (mono.q_exp, -mono.z_part())])
+    assert qs_mul_one_minus(a, mono) == expected
 
 
 @st.composite
