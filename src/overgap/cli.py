@@ -8,7 +8,8 @@ suites.  Output is deterministic: identical invocations produce
 byte-identical text, and every JSON rendering uses a fixed key order.
 
 Exit codes are a stable contract: 0 on success, 1 on a usage or domain
-error, 2 when a requested cross-check or verification suite fails.
+error, 2 when a requested cross-check or verification suite fails or an
+internal invariant breaks (reported as ``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -463,6 +464,11 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidPartition, NotInDomain, QSeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        # A broken internal invariant: the result cannot be trusted, so
+        # report it like a failed check instead of dumping a traceback.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

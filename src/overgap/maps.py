@@ -15,6 +15,11 @@ marked t):
   component, marked or not) into unmarked t's and keeping the remaining
   parts of the second component as they are.
 
+Both maps and both fiber builders work on the runs of an overpartition
+(size, multiplicity, mark) and never expand them into part lists, so an
+image or a fiber member costs time in the number of distinct sizes, not
+in the part values.
+
 Both maps admit an explicit description of every preimage fiber.  A
 bounded-parts overpartition with m copies of t has exactly 2m preimages
 when all of its parts equal t and 2m + 1 otherwise, and in both cases
@@ -36,7 +41,6 @@ from .partitions import (
     is_bounded_gap,
     is_bounded_parts,
     iter_bounded_parts,
-    stats,
 )
 from .qseries import QSeries, ZLaurentPoly
 
@@ -101,26 +105,40 @@ def fold(pi: Overpartition, t: int) -> Overpartition:
             else f"largest part is marked while the gap equals {t}"
         )
         raise NotInDomain(f"{pi} is not in the bounded-gap family for t={t}: {reason}")
-    info = stats(pi, t)
-    s, k = info.quotient, info.raised
-    flat = pi.parts()
-    emitted = [(t, False)] * (s * (info.parts - k) + (s + 1) * k)
-    residues = [(part - s * t, flag) for part, flag in flat[k:]]
-    residues += [(part - (s + 1) * t, flag) for part, flag in flat[:k]]
-    emitted.extend((value, flag) for value, flag in residues if value > 0)
-    return Overpartition.from_parts(emitted)
+    # Runs of size at least (s+1)*t are the raised ones.  Every residue
+    # is below t; raised residues are at most base residues and equal
+    # only when the gap is t, where the largest (raised) run is unmarked.
+    s = pi.smallest // t
+    threshold = (s + 1) * t
+    t_count = 0
+    base, raised = [], []
+    for part, mult, flag in pi.runs:
+        quotient, into = (s + 1, raised) if part >= threshold else (s, base)
+        t_count += quotient * mult
+        residue = part - quotient * t
+        if residue:
+            into.append((residue, mult, flag))
+    if base and raised and base[-1][0] == raised[0][0]:
+        residue, mult, flag = base.pop()
+        raised[0] = (residue, mult + raised[0][1], flag)
+    head = [(t, t_count, False)] if t_count else []
+    return Overpartition(head + base + raised)
 
 
 def merge(beta: Bipartition, t: int) -> Overpartition:
     """Merge a bipartition into a single bounded-parts overpartition."""
     if beta.t != t:
         raise NotInDomain(f"bipartition bound {beta.t} does not match t={t}")
+    rest = _without_t(beta.second, t)
     total_t = beta.t_count + beta.second.multiplicity(t)
-    pairs = [(t, False)] * total_t
-    pairs.extend(
-        (part, flag) for part, flag in beta.second.parts() if part != t
-    )
-    return Overpartition.from_parts(pairs)
+    head = [(t, total_t, False)] if total_t else []
+    return Overpartition(head + rest)
+
+
+def _without_t(pi: Overpartition, t: int) -> list[tuple[int, int, bool]]:
+    """The runs of an overpartition with parts at most t, minus its t's."""
+    runs = pi.runs
+    return list(runs[1:] if runs[0][0] == t else runs)
 
 
 @dataclass(frozen=True)
@@ -180,35 +198,37 @@ def fold_preimages(mu: Overpartition, t: int) -> PreimageReport:
     """
     _require_bounded_parts(mu, t)
     m = mu.multiplicity(t)
-    residue_pool = [(part, flag) for part, flag in mu.parts() if part != t]
-    r = len(residue_pool)
-    first_length = r + (1 if r == 0 else 0)
+    pool = _without_t(mu, t)
+    r = sum(mult for _, mult, _ in pool)
     fiber = []
-    for length in range(first_length, r + m + 1):
+    for length in range(max(r, 1), r + m + 1):
         _, raised, quotient = solve_split(length, m)
-        padded = residue_pool + [(0, False)] * (length - r)
-        placed = [
-            (value + quotient * t, flag) for value, flag in padded[: length - raised]
-        ]
-        placed += [
-            (value + (quotient + 1) * t, flag) for value, flag in padded[length - raised:]
-        ]
-        if any(part < 1 for part, _ in placed):
+        padded = pool + [(0, length - r, False)] if length > r else pool
+        # The first length - raised slots take the quotient, the rest one
+        # more; residues are below t, so every raised part is larger than
+        # every base part and a run split between the classes keeps its
+        # mark on its first, base, slot.
+        base_slots = length - raised
+        upper, lower = [], []
+        for value, mult, flag in padded:
+            below = min(max(base_slots, 0), mult)
+            base_slots -= mult
+            if below:
+                lower.append((value + quotient * t, below, flag))
+            if below < mult:
+                upper.append(
+                    (value + (quotient + 1) * t, mult - below, flag and not below)
+                )
+        runs = upper + lower
+        if any(part < 1 for part, _, _ in runs):
             raise AssertionError("fold preimage produced a nonpositive part")
-        base = Overpartition.from_parts(placed)
-        fiber.append(base)
+        fiber.append(Overpartition(runs))
         if length > r:
-            multiples = [part for part, _ in placed if part % t == 0]
-            target = min(multiples)
-            marked_once = False
-            variant = []
-            for part, flag in placed:
-                if part == target and not marked_once:
-                    variant.append((part, True))
-                    marked_once = True
-                else:
-                    variant.append((part, flag))
-            fiber.append(Overpartition.from_parts(variant))
+            # the smallest multiple of t is the last run made of zero residues
+            last = max(i for i, (part, _, _) in enumerate(runs) if part % t == 0)
+            part, mult, _ = runs[last]
+            runs[last] = (part, mult, True)
+            fiber.append(Overpartition(runs))
     base_marks = mu.num_marked
     same = sum(1 for member in fiber if member.num_marked == base_marks)
     extra = sum(1 for member in fiber if member.num_marked == base_marks + 1)
@@ -225,23 +245,12 @@ def merge_preimages(mu: Overpartition, t: int) -> PreimageReport:
     """
     _require_bounded_parts(mu, t)
     m = mu.multiplicity(t)
-    remainder = [(part, flag) for part, flag in mu.parts() if part != t]
-    fiber = []
-    if not remainder:
-        for in_second in range(1, m + 1):
-            plain = [(t, False)] * in_second
-            fiber.append(Bipartition(t, m - in_second, Overpartition.from_parts(plain)))
-            marked = [(t, True)] + [(t, False)] * (in_second - 1)
-            fiber.append(Bipartition(t, m - in_second, Overpartition.from_parts(marked)))
-    else:
-        for in_second in range(m + 1):
-            plain = [(t, False)] * in_second + remainder
-            fiber.append(Bipartition(t, m - in_second, Overpartition.from_parts(plain)))
-            if in_second >= 1:
-                marked = [(t, True)] + [(t, False)] * (in_second - 1) + remainder
-                fiber.append(
-                    Bipartition(t, m - in_second, Overpartition.from_parts(marked))
-                )
+    rest = _without_t(mu, t)
+    fiber = [Bipartition(t, m, Overpartition(rest))] if rest else []
+    for in_second in range(1, m + 1):
+        for marked in (False, True):
+            second = Overpartition([(t, in_second, marked)] + rest)
+            fiber.append(Bipartition(t, m - in_second, second))
     base_marks = mu.num_marked
     same = sum(1 for member in fiber if member.num_marked == base_marks)
     extra = sum(1 for member in fiber if member.num_marked == base_marks + 1)

@@ -16,14 +16,22 @@ Three families recur throughout, all relative to a positive bound t:
 * bipartitions: pairs of a multiset of unmarked t's (possibly empty) and
   a nonempty overpartition with parts at most t (a marked t is allowed).
 
-Generating functions produced by this module are computed by visiting
-every member object, never from a closed form, so they can serve as
-independent cross-checks for the series builders in :mod:`qseries`.
+Generating functions produced by this module come from enumeration,
+never from a closed form, so they can serve as independent cross-checks
+for the series builders in :mod:`qseries`.  :func:`gf_from_enumeration`
+builds and counts every member object.  :func:`enumerated_bounded_gap_gf`
+visits every partition shape (the parts without their marks) whose gap
+is at most the largest bound, and walks the mark patterns once per
+number of distinct sizes, since their mark histogram depends on nothing
+else.  The enumerators only enter shapes that belong to the family, so
+no member is built and then thrown away.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from itertools import product
 from typing import Iterator, NamedTuple
 
 from .qseries import QSeries, ZLaurentPoly
@@ -313,20 +321,51 @@ def stats(pi: Overpartition, t: int) -> Stats:
 # -- enumeration --------------------------------------------------------------
 
 
-def _shapes(remaining: int, cap: int):
-    """Partition shapes of ``remaining`` with parts at most ``cap``.
+def _shapes(remaining: int, cap: int, floor: int = 1, gap: int | None = None):
+    """Partition shapes of ``remaining`` with parts in ``[floor, cap]``.
 
     Yields tuples of (part, multiplicity) runs, largest part first, in
-    decreasing lexicographic order of the expanded part lists.
+    decreasing lexicographic order of the expanded part lists.  With a
+    ``gap`` (at least 0), the floor below each largest part is raised to
+    ``part - gap``, so exactly the shapes whose largest and smallest
+    parts differ by at most ``gap`` come out, in the same order.  A
+    branch is entered only if it can be completed: what is left after a
+    run is zero or a sum of k parts in ``[low, part - 1]`` for some k,
+    ``low`` being the floor in force below ``part``, which holds exactly
+    when ``(rest // low) * (part - 1) >= rest``.
     """
     if remaining == 0:
         yield ()
         return
-    top = min(cap, remaining)
-    for part in range(top, 0, -1):
+    for part in range(min(cap, remaining), floor - 1, -1):
+        low = floor if gap is None else max(floor, part - gap)
         for mult in range(remaining // part, 0, -1):
-            for rest in _shapes(remaining - part * mult, part - 1):
-                yield ((part, mult),) + rest
+            rest = remaining - part * mult
+            if rest == 0:
+                yield ((part, mult),)
+            elif (rest // low) * (part - 1) >= rest:
+                for tail in _shapes(rest, part - 1, low):
+                    yield ((part, mult),) + tail
+
+
+def _restore_order(runs):
+    return Overpartition._trusted(runs[::-1])
+
+
+def _members(shape, top_unmarked: bool = False):
+    """The overpartitions of one shape, in mark-pattern order.
+
+    The patterns are counted in binary with the largest size as the
+    least significant bit, so the unmarked copy precedes its marked
+    variants.  ``product`` varies its last factor fastest, so the runs
+    are fed smallest first and each result is turned back around.  With
+    ``top_unmarked`` only the patterns leaving the largest size unmarked
+    are produced.
+    """
+    variants = [((p, m, False), (p, m, True)) for p, m in reversed(shape)]
+    if top_unmarked:
+        variants[-1] = variants[-1][:1]
+    return map(_restore_order, product(*variants))
 
 
 def iter_overpartitions(n: int, max_part: int | None = None) -> Iterator[Overpartition]:
@@ -341,23 +380,21 @@ def iter_overpartitions(n: int, max_part: int | None = None) -> Iterator[Overpar
         return
     cap = n if max_part is None else min(max_part, n)
     for shape in _shapes(n, cap):
-        d = len(shape)
-        variants = [((p, m, False), (p, m, True)) for p, m in shape]
-        for mask in range(1 << d):
-            yield Overpartition._trusted(
-                tuple(variants[i][(mask >> i) & 1] for i in range(d))
-            )
+        yield from _members(shape)
 
 
 def iter_bounded_gap(t: int, n: int) -> Iterator[Overpartition]:
     """Members of the bounded-gap family of weight n.
 
     Equal to filtering :func:`iter_overpartitions` by
-    :func:`is_bounded_gap`, in the same order.
+    :func:`is_bounded_gap`, in the same order, but only shapes with gap
+    at most t are generated, and a shape with gap exactly t only gets
+    the mark patterns leaving its largest size unmarked.
     """
-    for pi in iter_overpartitions(n):
-        if is_bounded_gap(pi, t):
-            yield pi
+    if n < 1 or t < 0:
+        return
+    for shape in _shapes(n, n, gap=t):
+        yield from _members(shape, shape[0][0] - shape[-1][0] == t)
 
 
 def iter_bounded_parts(t: int, n: int) -> Iterator[Overpartition]:
@@ -365,11 +402,13 @@ def iter_bounded_parts(t: int, n: int) -> Iterator[Overpartition]:
 
     Equal to filtering :func:`iter_overpartitions` by
     :func:`is_bounded_parts`, in the same order; implemented by bounding
-    the shapes directly, which preserves that order.
+    the shapes directly and leaving a largest size t unmarked, which
+    preserves that order.
     """
-    for pi in iter_overpartitions(n, max_part=t):
-        if not (pi.largest == t and pi.largest_marked):
-            yield pi
+    if n < 1:
+        return
+    for shape in _shapes(n, min(t, n)):
+        yield from _members(shape, shape[0][0] == t)
 
 
 def iter_bipartitions(t: int, n: int) -> Iterator[Bipartition]:
@@ -411,41 +450,55 @@ def gf_from_enumeration(family: str, t: int, max_n: int) -> QSeries:
     )
 
 
+def _mark_histograms(d: int) -> tuple[list[int], list[int]]:
+    """Mark counts over the 2^d patterns of a shape with d distinct sizes.
+
+    Returns the histogram by number of marks over all patterns, and over
+    those leaving the largest size (bit 0) unmarked.
+    """
+    every = [0] * (d + 1)
+    top_unmarked = [0] * (d + 1)
+    for mask in range(1 << d):
+        o = mask.bit_count()
+        every[o] += 1
+        if not mask & 1:
+            top_unmarked[o] += 1
+    return every, top_unmarked
+
+
 def enumerated_bounded_gap_gf(ts, max_n: int) -> dict[int, QSeries]:
     """Bounded-gap generating functions for several bounds in one sweep.
 
-    Visits every overpartition of weight up to ``max_n`` exactly once:
-    for each shape all 2^d mark patterns are walked individually, and
-    each visited member is tallied into the census of every bound it
-    belongs to.  Returns, per bound, the same series
+    Visits every partition shape of weight up to ``max_n`` whose gap is
+    at most the largest bound exactly once, counting the shapes of each
+    weight by (d, gap), d the number of distinct sizes.  The mark
+    histogram of a shape depends only on d, so the 2^d mark patterns are
+    walked once per d, and each bound t adds count times the histogram
+    of every (d, gap) it admits: all patterns below t, those with the
+    largest size unmarked at gap t.  Returns, per bound, the same series
     :func:`gf_from_enumeration` would produce.
     """
     ts = sorted(set(int(t) for t in ts))
     if ts and ts[0] < 1:
         raise ValueError("bounds must be positive")
+    if not ts:
+        return {}
     tables: dict[int, dict[int, dict[int, int]]] = {t: {} for t in ts}
+    histograms: dict[int, tuple[list[int], list[int]]] = {}
     for n in range(1, max_n + 1):
-        for shape in _shapes(n, n):
-            d = len(shape)
-            gap = shape[0][0] - shape[-1][0]
-            hist = [0] * (d + 1)
-            hist_unmarked_top = [0] * (d + 1)
-            for mask in range(1 << d):
-                o = mask.bit_count()
-                hist[o] += 1
-                if not mask & 1:
-                    hist_unmarked_top[o] += 1
-            for t in ts:
-                if gap < t:
-                    add = hist
-                elif gap == t:
-                    add = hist_unmarked_top
-                else:
-                    continue
+        shapes: dict[tuple[int, int], int] = {}
+        for shape in _shapes(n, n, gap=ts[-1]):
+            key = (len(shape), shape[0][0] - shape[-1][0])
+            shapes[key] = shapes.get(key, 0) + 1
+        for (d, gap), count in shapes.items():
+            if d not in histograms:
+                histograms[d] = _mark_histograms(d)
+            every, top_unmarked = histograms[d]
+            for t in ts[bisect_left(ts, gap):]:
                 row = tables[t].setdefault(n, {})
-                for o, count in enumerate(add):
-                    if count:
-                        row[o] = row.get(o, 0) + count
+                for o, patterns in enumerate(every if gap < t else top_unmarked):
+                    if patterns:
+                        row[o] = row.get(o, 0) + count * patterns
     return {
         t: QSeries.from_terms(
             {n: ZLaurentPoly(row) for n, row in table.items()}, max_n + 1

@@ -132,3 +132,31 @@ def brute_bounded_gap(n: int, t: int) -> list[tuple]:
             continue
         kept.append(candidate)
     return kept
+
+
+def mask_order_overpartitions(n: int, max_part: int | None = None) -> list[tuple]:
+    """Every overpartition of n as a tuple of (part, mult, marked) runs, in
+    the enumeration order the package promises: shapes in decreasing
+    lexicographic order, then the 2^d mark patterns counted in binary with
+    the largest size as the least significant bit."""
+    if n < 1:
+        return []
+    cap = n if max_part is None else min(max_part, n)
+
+    def shapes(remaining: int, bound: int):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(bound, remaining), 0, -1):
+            for mult in range(remaining // part, 0, -1):
+                for rest in shapes(remaining - part * mult, part - 1):
+                    yield ((part, mult),) + rest
+
+    results = []
+    for shape in shapes(n, cap):
+        d = len(shape)
+        for mask in range(1 << d):
+            results.append(
+                tuple((p, m, bool((mask >> i) & 1)) for i, (p, m) in enumerate(shape))
+            )
+    return results

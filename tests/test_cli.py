@@ -183,6 +183,16 @@ def test_preimages_check_detects_wrong_fiber(capsys, monkeypatch):
     assert code == 2 and "cross-check failed" in err
 
 
+def test_internal_error_exits_2_without_traceback(capsys, monkeypatch):
+    def broken(mu, t):
+        raise AssertionError("fold preimage produced a nonpositive part")
+
+    monkeypatch.setattr(cli, "fold_preimages", broken)
+    code, out, err = run(capsys, "preimages", "--t", "3", "--map", "fold", "3,3,3")
+    assert code == 2 and out == ""
+    assert err == "internal error: fold preimage produced a nonpositive part\n"
+
+
 def test_preimages_domain_error(capsys):
     code, _, err = run(capsys, "preimages", "--t", "3", "--map", "fold", "4,1")
     assert code == 1 and "error:" in err

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import overgap.partitions as partitions
+from overgap.cli import main
 from overgap.maps import (
     NotInDomain,
     PreimageReport,
@@ -18,11 +20,15 @@ from overgap.maps import (
     verify_fiber_identity,
 )
 from overgap.partitions import (
+    Bipartition,
+    Overpartition,
+    enumerated_bounded_gap_gf,
     is_bounded_gap,
     is_bounded_parts,
     iter_bipartitions,
     iter_bounded_gap,
     iter_bounded_parts,
+    iter_overpartitions,
     parse_bipartition,
     parse_overpartition,
     stats,
@@ -326,3 +332,100 @@ def test_merge_fiber_round_trip_random(case):
     assert len(report.fiber) == report.expected_size
     for beta in report.fiber:
         assert merge(beta, t) == mu
+
+
+# -- the maps on runs against their part-list definitions ---------------------
+
+
+def part_list_fold(pi, t):
+    info = stats(pi, t)
+    s, k = info.quotient, info.raised
+    flat = pi.parts()
+    emitted = [(t, False)] * (s * (info.parts - k) + (s + 1) * k)
+    residues = [(part - s * t, flag) for part, flag in flat[k:]]
+    residues += [(part - (s + 1) * t, flag) for part, flag in flat[:k]]
+    emitted.extend((value, flag) for value, flag in residues if value > 0)
+    return Overpartition.from_parts(emitted)
+
+
+def part_list_merge(beta, t):
+    total_t = beta.t_count + beta.second.multiplicity(t)
+    pairs = [(t, False)] * total_t
+    pairs.extend((part, flag) for part, flag in beta.second.parts() if part != t)
+    return Overpartition.from_parts(pairs)
+
+
+def part_list_fold_fiber(mu, t):
+    m = mu.multiplicity(t)
+    residue_pool = [(part, flag) for part, flag in mu.parts() if part != t]
+    r = len(residue_pool)
+    fiber = []
+    for length in range(r + (1 if r == 0 else 0), r + m + 1):
+        _, raised, quotient = solve_split(length, m)
+        padded = residue_pool + [(0, False)] * (length - r)
+        placed = [(v + quotient * t, f) for v, f in padded[: length - raised]]
+        placed += [(v + (quotient + 1) * t, f) for v, f in padded[length - raised:]]
+        fiber.append(Overpartition.from_parts(placed))
+        if length > r:
+            target = min(part for part, _ in placed if part % t == 0)
+            at = [part for part, _ in placed].index(target)
+            variant = placed[:at] + [(target, True)] + placed[at + 1:]
+            fiber.append(Overpartition.from_parts(variant))
+    return fiber
+
+
+def part_list_merge_fiber(mu, t):
+    m = mu.multiplicity(t)
+    remainder = [(part, flag) for part, flag in mu.parts() if part != t]
+    fiber = []
+    for in_second in range(0 if remainder else 1, m + 1):
+        plain = [(t, False)] * in_second + remainder
+        fiber.append(Bipartition(t, m - in_second, Overpartition.from_parts(plain)))
+        if in_second >= 1:
+            marked = [(t, True)] + plain[1:]
+            fiber.append(Bipartition(t, m - in_second, Overpartition.from_parts(marked)))
+    return fiber
+
+
+def test_run_length_maps_equal_part_list_maps():
+    for t in range(1, 8):
+        for n in range(1, 17):
+            for pi in iter_bounded_gap(t, n):
+                assert fold(pi, t) == part_list_fold(pi, t)
+            for beta in iter_bipartitions(t, n):
+                assert merge(beta, t) == part_list_merge(beta, t)
+            for mu in iter_bounded_parts(t, n):
+                assert list(fold_preimages(mu, t).fiber) == part_list_fold_fiber(mu, t)
+                assert list(merge_preimages(mu, t).fiber) == part_list_merge_fiber(mu, t)
+
+
+def test_maps_take_huge_parts():
+    big = 10**12
+    image = fold(op(str(big + 5)), 7)
+    assert image.runs == ((7, (big + 5) // 7, False), ((big + 5) % 7, 1, False))
+    # gap exactly t: both residues are 1 and share one run, marked from below
+    s = (big - 3) // 3
+    assert fold(op(f"{big},{big - 3}~"), 3).runs == ((3, 2 * s + 1, False), (1, 2, True))
+    assert fold(op(f"{big}"), 1).runs == ((1, big, False),)
+    assert merge(bp(f"[3^{big} | 1]"), 3).runs == ((3, big, False), (1, 1, False))
+    mu = Overpartition(((big, 2, False), (1, 1, True)))
+    report = fold_preimages(mu, big)
+    assert len(report.fiber) == report.expected_size == 5
+    assert all(fold(member, big) == mu for member in report.fiber)
+
+
+def test_maps_and_enumerators_stay_on_runs(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("part lists or full enumeration requested")
+
+    monkeypatch.setattr(Overpartition, "parts", refuse)
+    monkeypatch.setattr(partitions, "iter_overpartitions", refuse)
+    mu = op("3,3,3,1~,1")
+    assert fold(op("7,4~"), 3) == mu
+    assert merge(bp("[3^1 | 3,3,1~,1]"), 3) == mu
+    assert len(fold_preimages(mu, 3).fiber) == 7
+    assert len(merge_preimages(mu, 3).fiber) == 7
+    assert len(list(iter_bounded_gap(3, 12))) > 0
+    assert enumerated_bounded_gap_gf([1, 2, 3], 14)[3].zq_coeff(3, 1) == 4
+    assert main(["preimages", "--t", "3", "--map", "fold", "--check", "3,3,3,1~,1"]) == 0
+    assert capsys.readouterr().err == ""

@@ -23,7 +23,12 @@ from overgap.partitions import (
 )
 from overgap.qseries import ZLaurentPoly, pochhammer_infinite, qs_invert, qs_mul, QMonomial
 
-from helpers import brute_bounded_gap, brute_overpartitions, overpartition_counts
+from helpers import (
+    brute_bounded_gap,
+    brute_overpartitions,
+    mask_order_overpartitions,
+    overpartition_counts,
+)
 
 
 def op(text):
@@ -208,6 +213,33 @@ def test_family_enumerators_equal_filtering(t, n):
     assert {tuple(pi.parts()) for pi in iter_bounded_parts(t, n)} == parts_filter
 
 
+def test_enumeration_keeps_mask_order():
+    for n in range(1, 15):
+        for max_part in (None, 1, 2, 3, 5, n + 1):
+            listed = [pi.runs for pi in iter_overpartitions(n, max_part)]
+            assert listed == mask_order_overpartitions(n, max_part)
+
+
+def test_bounded_gap_is_filtering_in_order():
+    for n in range(1, 17):
+        every = list(iter_overpartitions(n))
+        for t in list(range(9)) + [n - 1, n, n + 4]:
+            kept = [pi for pi in every if is_bounded_gap(pi, t)]
+            assert list(iter_bounded_gap(t, n)) == kept
+
+
+def test_bounded_gap_at_nonpositive_bounds():
+    # gap 0 means a single size, and it must stay unmarked; below 0
+    # nothing qualifies
+    assert [str(pi) for pi in iter_bounded_gap(0, 4)] == ["4", "2,2", "1,1,1,1"]
+    for n in range(1, 13):
+        assert list(iter_bounded_gap(-1, n)) == []
+        assert list(iter_bounded_gap(-7, n)) == []
+        every = list(iter_overpartitions(n))
+        assert list(iter_bounded_gap(0, n)) == [pi for pi in every if is_bounded_gap(pi, 0)]
+    assert list(iter_bounded_gap(3, 0)) == []
+
+
 def test_bounded_gap_against_standalone_oracle():
     for t in (1, 2, 3):
         for n in range(1, 10):
@@ -245,6 +277,22 @@ def test_census_matches_per_family_enumeration():
     for t in range(1, 5):
         direct = gf_from_enumeration("bounded_gap", t, 14)
         assert census[t] == direct
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [[1, 2, 3], [5], [12, 13, 14], [40, 41], [3, 1, 3, 1], [41, 40, 41], []],
+)
+def test_census_on_pruning_bound_sets(ts):
+    census = enumerated_bounded_gap_gf(ts, 20)
+    assert sorted(census) == sorted(set(ts))
+    for t in set(ts):
+        assert census[t] == gf_from_enumeration("bounded_gap", t, 20)
+
+
+def test_census_rejects_nonpositive_bounds():
+    with pytest.raises(ValueError):
+        enumerated_bounded_gap_gf([0, 3], 5)
 
 
 # -- randomized model checks ----------------------------------------------
