@@ -10,7 +10,9 @@ Evaluation walks the terms with exact ratio updates: multiplying by the
 new numerator factors (1 - a q^(n-1)) and dividing out the new
 denominator factors, one binomial at a time, keeps every intermediate a
 window-true :class:`~overgap.qseries.QSeries`, so the partial sum is
-exact to the requested order.  A numerator parameter
+exact to the requested order.  A parameter shared by numerator and
+denominator (q included, for the (q; q)_n factor) contributes the same
+factor to both and is skipped.  A numerator parameter
 q^(-k) (sign +1, no z) terminates the series after k + 1 terms; without
 one, the argument must carry a positive q-exponent so that later terms
 fall below the order.
@@ -18,9 +20,9 @@ fall below the order.
 The module also packages three verification routines: the classical
 q-Chu-Vandermonde summation, a three-parameter series transformation,
 and a chain of displayed forms connecting the smallest-part expansion of
-the bounded-gap generating function to its closed form.  Finite
-Pochhammer quotients are divided out one factor at a time; the general
-inverse is used only for the z-free infinite-product prefactors.
+the bounded-gap generating function to its closed form.  Every
+Pochhammer quotient, finite or infinite, is divided out one factor at a
+time; no general inverse is taken.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .qseries import (
     pochhammer_infinite,
     qs_div_one_minus,
     qs_div_pochhammer,
-    qs_invert,
     qs_mul,
     qs_mul_finite,
     qs_mul_one_minus,
@@ -149,13 +150,22 @@ def eval_phi(
     shift = spec.exponent_shift
     arg = spec.argument
     total = term.truncate(target_order)
+    # term n gains a factor (1 - p q^(n-1)) for each numerator parameter p
+    # and loses one for each denominator parameter, q included for (q; q)_n;
+    # a parameter on both sides cancels for every n.  Denominator factors
+    # keep the window, so skipping a pair leaves every term unchanged.
+    numerator = list(spec.numerator)
+    denominator = [QMonomial.q_power(1), *spec.denominator]
+    for param in spec.numerator:
+        if param in denominator:
+            numerator.remove(param)
+            denominator.remove(param)
     for n in range(1, terms):
-        for param in spec.numerator:
+        for param in numerator:
             term = qs_mul_one_minus(
                 term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
             )
-        term = qs_div_one_minus(term, QMonomial.q_power(n))
-        for param in spec.denominator:
+        for param in denominator:
             term = qs_div_one_minus(
                 term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
             )
@@ -190,6 +200,16 @@ def check_q_chu_vandermonde(
     return lhs.eq_up_to(rhs, target_order)
 
 
+def _div_infinite(
+    series: QSeries, params: tuple[QMonomial, ...], target_order: int
+) -> QSeries:
+    """Divide by the infinite products (p; q)_inf, p in ``params``, one
+    factor (1 - p q^k) at a time over the factors below the order."""
+    for param in params:
+        series = qs_div_pochhammer(series, param, max(0, target_order - param.q_exp))
+    return series
+
+
 def check_3phi2_transform(
     a: QMonomial,
     b: QMonomial,
@@ -216,11 +236,7 @@ def check_3phi2_transform(
         pochhammer_infinite(e / a, width),
         pochhammer_infinite((d * e) / (b * c), width),
     )
-    denominator = qs_mul(
-        pochhammer_infinite(e, width),
-        pochhammer_infinite((d * e) / (a * b * c), width),
-    )
-    prefactor = qs_mul(numerator, qs_invert(denominator, width))
+    prefactor = _div_infinite(numerator, (e, (d * e) / (a * b * c)), width)
     rhs = qs_mul(prefactor, series)
     return lhs.eq_up_to(rhs, target_order)
 
@@ -297,10 +313,6 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
         pochhammer_infinite(QMonomial.q_power(t + 1), order),
         pochhammer_infinite(QMonomial.q_power(2), order),
     )
-    inf_den = qs_mul(
-        pochhammer_infinite(QMonomial.q_power(t + 2), order),
-        pochhammer_infinite(q1, order),
-    )
     spec_4 = HypergeometricSpec(
         (q1, neg_zq, QMonomial.q_power(1 - t)),
         (QMonomial(-1, 1, 2), QMonomial.q_power(2)),
@@ -309,7 +321,9 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
     transformed = eval_phi(spec_4, None, order)
     if transformed.min_exp < 0:
         raise AssertionError("transformed series unexpectedly Laurent")
-    pref_4 = qs_mul(prefactor, qs_mul(inf_num, qs_invert(inf_den, order)))
+    pref_4 = qs_mul(
+        prefactor, _div_infinite(inf_num, (QMonomial.q_power(t + 2), q1), order)
+    )
     lines.append(("transformed_3phi2", qs_mul(pref_4, transformed)))
 
     # 5: -(-zq)_t / ((1-q^t) (q)_t) times (series - 1) for the

@@ -8,11 +8,16 @@ is claimed.  All operations are exact and propagate the tightest window
 the operands justify, so "equal up to order N" is always a statement
 about coefficients that are actually known.
 
-Finite Pochhammer products and quotients are built one binomial factor
-at a time: :func:`qs_mul_one_minus` multiplies by ``(1 - a*q^k)`` and
-:func:`qs_div_one_minus` divides by it, each in one pass over the window
-with no general convolution.  :func:`qs_mul` and :func:`qs_invert` remain
-the general product and inverse, for factors that are not binomials.
+Pochhammer products and quotients are built one binomial factor at a
+time: :func:`qs_mul_one_minus` multiplies by ``(1 - a*q^k)`` and
+:func:`qs_div_one_minus` divides by it, each in one pass over the window.
+Every other product runs through one kernel, :func:`qs_mul`, by Kronecker
+substitution: each operand's (q, z) grid is packed into one integer with
+a signed, byte-aligned digit per coefficient, and a single integer
+multiply yields the whole product.  :func:`qs_mul_finite` and
+:func:`qs_invert` (Newton's iteration) are thin wrappers over it.
+Multiplying by a :class:`QMonomial` is a shift of the window, and of the
+z-exponents when the monomial has a z part; no product runs.
 
 Instances of :class:`ZLaurentPoly`, :class:`QMonomial` and
 :class:`QSeries` are immutable values; every operation returns a fresh
@@ -22,8 +27,10 @@ object.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "QSeriesError",
@@ -318,6 +325,15 @@ class QSeries:
         self.order = order
         self.coeffs = tuple(coeffs)
 
+    @classmethod
+    def _make(cls, min_exp: int, coeffs: tuple[ZLaurentPoly, ...], order: int) -> "QSeries":
+        # trusted constructor: caller guarantees normalised coefficients
+        series = object.__new__(cls)
+        series.min_exp = min_exp
+        series.order = order
+        series.coeffs = coeffs
+        return series
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -387,10 +403,15 @@ class QSeries:
             and self.coeffs == other.coeffs
         )
 
-    def eq_up_to(self, other: "QSeries", order: int) -> bool:
-        """Compare all coefficients of q-exponent below ``order``.
+    def first_difference(
+        self, other: "QSeries", order: int
+    ) -> tuple[int, int, int, int] | None:
+        """The first coefficient below ``order`` where the series differ.
 
-        Both operands must know their coefficients that far out.
+        Returns ``(q_exp, z_exp, lhs, rhs)`` for the lowest q-exponent that
+        differs and, within it, the lowest z-exponent, with ``lhs`` from
+        this series and ``rhs`` from ``other``; None when they agree.  Both
+        operands must know their coefficients that far out.
         """
         if self.order < order or other.order < order:
             raise InsufficientOrder(
@@ -399,7 +420,24 @@ class QSeries:
             )
         a = self.truncate(order)
         b = other.truncate(order)
-        return a.min_exp == b.min_exp and a.coeffs == b.coeffs
+        if a.min_exp == b.min_exp and a.coeffs == b.coeffs:
+            return None
+        for q_exp in range(min(a.min_exp, b.min_exp), order):
+            lhs, rhs = a.coeff(q_exp), b.coeff(q_exp)
+            if lhs != rhs:
+                z_exp = min(
+                    z for z in {*lhs._terms, *rhs._terms}
+                    if lhs.coefficient(z) != rhs.coefficient(z)
+                )
+                return q_exp, z_exp, lhs.coefficient(z_exp), rhs.coefficient(z_exp)
+        raise AssertionError("normalised series differ but no coefficient does")
+
+    def eq_up_to(self, other: "QSeries", order: int) -> bool:
+        """Compare all coefficients of q-exponent below ``order``.
+
+        Both operands must know their coefficients that far out.
+        """
+        return self.first_difference(other, order) is None
 
     def truncate(self, order: int) -> "QSeries":
         """Forget coefficients at or past ``order``.  Never widens."""
@@ -469,12 +507,24 @@ class QSeries:
                 self.min_exp, [c * other for c in self.coeffs], self.order
             )
         if isinstance(other, QMonomial):
-            return qs_mul_finite(self, [(other.q_exp, other.z_part())])
+            return self._times_monomial(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         return qs_mul(self, other)
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, mono: QMonomial) -> "QSeries":
+        """Multiply by a monomial: a shift of the window, and of each row's
+        z-exponents and sign when the monomial has them."""
+        coeffs = self.coeffs
+        if mono.sign != 1 or mono.z_exp:
+            z_shift, sign = mono.z_exp, mono.sign
+            coeffs = tuple(
+                ZLaurentPoly._make({z + z_shift: sign * c for z, c in row._terms.items()})
+                for row in coeffs
+            )
+        return QSeries._make(self.min_exp + mono.q_exp, coeffs, self.order + mono.q_exp)
 
     def subs_z(self, z_value: int) -> "QSeries":
         """Specialise the marking variable, keeping the same window."""
@@ -542,6 +592,84 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
     return a + b
 
 
+# Signed array typecodes by item size; digits this wide are written and
+# read through an array instead of one int.to_bytes call each.
+_ARRAY_CODES = {array(code).itemsize: code for code in "bhilq"}
+
+
+def _digit_size(bound: int) -> int:
+    """Bytes per digit holding any value of magnitude at most ``bound``:
+    the magnitude's bits plus a sign bit, in whole bytes, rounded up to an
+    array item size when one is large enough."""
+    size = bound.bit_length() // 8 + 1
+    return min((item for item in _ARRAY_CODES if item >= size), default=size)
+
+
+def _extent(rows: tuple[ZLaurentPoly, ...]) -> tuple[int, int, int, int]:
+    """(lowest z, highest z, nonzero terms, largest magnitude) of some rows,
+    at least one of them nonzero."""
+    maps = [row._terms for row in rows if row._terms]
+    values = [terms.values() for terms in maps]
+    return (
+        min(map(min, maps)),
+        max(map(max, maps)),
+        sum(map(len, maps)),
+        max(max(map(max, values)), -min(map(min, values))),
+    )
+
+
+def _sign_bits(size: int, count: int) -> int:
+    """The top bit of each of ``count`` digits of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def _pack(rows: tuple[ZLaurentPoly, ...], z_lo: int, stride: int, size: int) -> int:
+    """Rows as one integer: the z^z coefficient of row i is the signed digit
+    at position i * stride + z - z_lo, each digit ``size`` bytes wide."""
+    count = len(rows) * stride
+    code = _ARRAY_CODES.get(size)
+    if code:
+        digits = array(code, bytes(count * size))
+        base = -z_lo
+        for row in rows:
+            for z, c in row._terms.items():
+                digits[base + z] = c
+            base += stride
+        if sys.byteorder == "big":
+            digits.byteswap()
+        raw = digits.tobytes()
+    else:
+        raw = bytearray(count * size)
+        for i, row in enumerate(rows):
+            base = i * stride - z_lo
+            for z, c in row._terms.items():
+                at = (base + z) * size
+                raw[at:at + size] = c.to_bytes(size, "little", signed=True)
+    # raw holds two's complement digits: each set sign bit stands for a
+    # borrow of one from the digit above
+    value = int.from_bytes(raw, "little")
+    return value - ((value & _sign_bits(size, count)) << 1)
+
+
+def _unpack(value: int, size: int, count: int) -> Sequence[int]:
+    """The lowest ``count`` signed digits of a packed integer."""
+    # adding 2^(8 size - 1) to every digit makes each one nonnegative and
+    # carry-free; flipping that bit back leaves each digit's two's complement
+    top = _sign_bits(size, count)
+    low = (value + top) & ((1 << (8 * size * count)) - 1)
+    raw = (low ^ top).to_bytes(size * count, "little")
+    code = _ARRAY_CODES.get(size)
+    if code:
+        digits = array(code, raw)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        return digits
+    return [
+        int.from_bytes(raw[at:at + size], "little", signed=True)
+        for at in range(0, len(raw), size)
+    ]
+
+
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product.
 
@@ -549,70 +677,54 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     [m1 + m2, min(o1 + m2, o2 + m1)): any contribution involving an
     unknown coefficient of one factor pairs with a known zero of the
     other below that bound.
+
+    Computed by Kronecker substitution: each factor's (q, z) grid becomes
+    one integer with a signed digit per coefficient, wide enough that no
+    product coefficient can overflow it, and one integer multiply gives
+    every coefficient of the product.  Rows that cannot reach the window
+    are left out.
     """
     lo = a.min_exp + b.min_exp
     order = min(a.order + b.min_exp, b.order + a.min_exp)
     width = order - lo
     if width <= 0 or a.is_zero() or b.is_zero():
         return QSeries.zero(order)
-    rows: list[dict[int, int]] = [dict() for _ in range(width)]
-    b_lo = b.min_exp
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        base = a.min_exp + i + b_lo - lo
-        for j, cb in enumerate(b.coeffs):
-            pos = base + j
-            if pos >= width:
-                break
-            if not cb:
-                continue
-            row = rows[pos]
-            for za, va in ca._terms.items():
-                for zb, vb in cb._terms.items():
-                    key = za + zb
-                    total = row.get(key, 0) + va * vb
-                    if total:
-                        row[key] = total
-                    elif key in row:
-                        del row[key]
-    return QSeries(lo, [ZLaurentPoly._make(r) for r in rows], order)
+    rows_a, rows_b = a.coeffs[:width], b.coeffs[:width]
+    za_lo, za_hi, count_a, big_a = _extent(rows_a)
+    zb_lo, zb_hi, count_b, big_b = _extent(rows_b)
+    stride = za_hi - za_lo + zb_hi - zb_lo + 1
+    # a product coefficient sums at most min(count_a, count_b) products
+    size = _digit_size(min(count_a, count_b) * big_a * big_b)
+    product = _pack(rows_a, za_lo, stride, size) * _pack(rows_b, zb_lo, stride, size)
+    count = min(width, len(rows_a) + len(rows_b) - 1) * stride
+    digits = _unpack(product, size, count)
+    z_base = za_lo + zb_lo
+    rows = [
+        ZLaurentPoly._make(
+            {z_base + s: c for s, c in enumerate(digits[start:start + stride]) if c}
+        )
+        for start in range(0, count, stride)
+    ]
+    return QSeries(lo, rows, order)
 
 
 def qs_mul_finite(a: QSeries, factor: Iterable[tuple[int, ZLaurentPoly]]) -> QSeries:
     """Multiply by a finite, exactly known q-polynomial.
 
-    The factor is given as (q_exp, coefficient) pairs.  Because every
-    factor coefficient is known, the result window has the same width as
-    the input window, shifted by the factor's lowest exponent.
+    The factor is given as (q_exp, coefficient) pairs; repeated exponents
+    are summed.  Because every factor coefficient is known, the result
+    window has the same width as the input window, shifted by the lowest
+    exponent of a nonzero pair.
     """
     pairs = [(exp, coeff) for exp, coeff in factor if coeff]
-    if not pairs or a.is_zero():
-        shift = min((exp for exp, _ in pairs), default=0)
-        return QSeries.zero(a.order + shift)
-    shift = min(exp for exp, _ in pairs)
-    lo = a.min_exp + shift
-    order = a.order + shift
-    width = order - lo
-    rows: list[dict[int, int]] = [dict() for _ in range(width)]
+    shift = min((exp for exp, _ in pairs), default=0)
+    # the factor read to this order leaves qs_mul the window [.., a.order + shift)
+    top = a.order - a.min_exp + shift
+    terms: dict[int, ZLaurentPoly] = {}
     for exp, coeff in pairs:
-        base = exp - shift
-        for i, ca in enumerate(a.coeffs):
-            pos = base + i
-            if pos >= width:
-                break
-            if not ca:
-                continue
-            row = rows[pos]
-            for za, va in ca._terms.items():
-                for zb, vb in coeff._terms.items():
-                    key = za + zb
-                    total = row.get(key, 0) + va * vb
-                    if total:
-                        row[key] = total
-                    elif key in row:
-                        del row[key]
-    return QSeries(lo, [ZLaurentPoly._make(r) for r in rows], order)
+        if exp < top:
+            terms[exp] = terms[exp] + coeff if exp in terms else coeff
+    return qs_mul(a, QSeries.from_terms(terms, top))
 
 
 def qs_invert(a: QSeries, target_order: int) -> QSeries:
@@ -620,8 +732,16 @@ def qs_invert(a: QSeries, target_order: int) -> QSeries:
 
     Requires the leading coefficient of ``a`` to be a single signed power
     of z, and ``a`` to be known for ``target_order`` exponents past its
-    leading one.
+    leading one.  The result starts at q^(-val), val the leading exponent
+    of ``a``, and is known for ``target_order`` exponents.
+
+    Newton's iteration b <- b + b (1 - a b) doubles the number of correct
+    coefficients per step, each step two calls to :func:`qs_mul`.
     """
+    if target_order < 0:
+        raise InsufficientOrder(
+            f"cannot invert to a negative relative order ({target_order})"
+        )
     if a.is_zero():
         raise NonUnitLeadingCoefficient("the zero series has no inverse")
     lead = a.coeffs[0]
@@ -635,32 +755,21 @@ def qs_invert(a: QSeries, target_order: int) -> QSeries:
             f"inverting to relative order {target_order} needs the input known "
             f"on a window of width {target_order}, have {a.order - val}"
         )
+    if target_order == 0:
+        return QSeries.zero(-val)
     lead_exp, lead_sign = next(iter(lead._terms.items()))
-    # alpha[k] is the coefficient of q^(val + k) as a raw term map
-    alpha: list[dict[int, int]] = []
-    for k in range(min(target_order, len(a.coeffs))):
-        alpha.append(a.coeffs[k]._terms)
-    while len(alpha) < target_order:
-        alpha.append({})
-    out: list[dict[int, int]] = [{-lead_exp: lead_sign}]
-    for n in range(1, target_order):
-        acc: dict[int, int] = {}
-        for k in range(1, n + 1):
-            ak = alpha[k]
-            if not ak:
-                continue
-            bk = out[n - k]
-            for za, va in ak.items():
-                for zb, vb in bk.items():
-                    key = za + zb
-                    total = acc.get(key, 0) + va * vb
-                    if total:
-                        acc[key] = total
-                    elif key in acc:
-                        del acc[key]
-        # divide by -lead: multiply values by -lead_sign, shift z by -lead_exp
-        out.append({exp - lead_exp: -lead_sign * coeff for exp, coeff in acc.items()})
-    return QSeries(-val, [ZLaurentPoly._make(r) for r in out], -val + target_order)
+    # scale = 1 / (lead q^val), so unit = a * scale is 1 + O(q)
+    scale = QMonomial(lead_sign, -lead_exp, -val)
+    unit = a * scale
+    inverse = QSeries.one(1)
+    known = 1
+    while known < target_order:
+        known = min(2 * known, target_order)
+        # the current inverse is a polynomial: read it exactly to the new order
+        guess = QSeries._make(0, inverse.coeffs, known)
+        error = 1 - qs_mul(unit.truncate(known), guess)
+        inverse = guess + qs_mul(guess, error)
+    return inverse * scale
 
 
 def qs_div_one_minus(a: QSeries, mono: QMonomial) -> QSeries:

@@ -1,0 +1,29 @@
+"""Every exported name resolves, and the package exports what it re-exports."""
+
+import importlib
+
+import pytest
+
+import overgap
+
+MODULES = {
+    name: importlib.import_module(f"overgap.{name}")
+    for name in ("qseries", "partitions", "maps", "hyper", "cli")
+}
+
+
+@pytest.mark.parametrize("module", [overgap, *MODULES.values()], ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    assert len(module.__all__) == len(set(module.__all__)), "duplicate export"
+    for attr in module.__all__:
+        assert hasattr(module, attr), f"{module.__name__}.__all__ lists missing {attr}"
+
+
+def test_package_exports_exactly_its_re_exports():
+    re_exported = {
+        attr
+        for module in MODULES.values()
+        for attr in module.__all__
+        if getattr(overgap, attr, None) is getattr(module, attr)
+    }
+    assert set(overgap.__all__) == re_exported | {"__version__"}

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import overgap.hyper as hyper
+import overgap.qseries as qseries
+from overgap.cli import main
 from overgap.hyper import (
     ChainReport,
     HypergeometricSpec,
@@ -31,6 +34,7 @@ from overgap.qseries import (
     qs_invert,
     qs_mul,
     qs_mul_finite,
+    qs_mul_one_minus,
 )
 
 Q = QMonomial.q_power
@@ -332,6 +336,82 @@ def test_chain_input_validation():
         chain_lines(0, 10)
     with pytest.raises(ValueError):
         chain_lines(3, 0)
+
+
+def legacy_eval_phi(spec, terms, target_order):
+    """eval_phi with every numerator and denominator factor applied, none
+    cancelled, and the monomial factors through qs_mul_finite."""
+    if terms is None:
+        terms = hyper._auto_terms(spec, target_order)
+    if terms <= 0:
+        return QSeries.zero(target_order)
+    term = QSeries.one(target_order + hyper._window_slack(spec, terms))
+    shift = spec.exponent_shift
+    arg = spec.argument
+    total = term.truncate(target_order)
+    for n in range(1, terms):
+        for param in spec.numerator:
+            term = qs_mul_one_minus(
+                term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
+            )
+        term = qs_div_one_minus(term, Q(n))
+        for param in spec.denominator:
+            term = qs_div_one_minus(
+                term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
+            )
+        term = qs_mul_finite(term, [(arg.q_exp, arg.z_part())])
+        if shift:
+            sign = ZLaurentPoly.const(-1 if shift % 2 else 1)
+            term = qs_mul_finite(term, [((n - 1) * shift, sign)])
+        if term.is_zero():
+            break
+        total = total + term.truncate(target_order)
+    return total
+
+
+def identity_specs(t):
+    """The series the chu, transform and chain suites evaluate at bound t,
+    with the number of terms each asks for, plus a series whose
+    numerator drops the window below zero and one whose numerator
+    parameters match denominator ones in q-exponent but not in sign or z."""
+    q1, neg_zq2 = Q(1), QMonomial(-1, 1, 2)
+    a, b, c, d, e = q1, q1, QMonomial(-1, 1, t + 1), neg_zq2, Q(t + 2)
+    return [
+        (HypergeometricSpec((NEG_Z, Q(-t)), (NEG_ZQ,), NEG_ZQ * Q(t) / NEG_Z), t + 1),
+        (HypergeometricSpec((a, b, c), (d, e), (d * e) / (a * b * c)), None),
+        (HypergeometricSpec((a, d / b, d / c), (d, (d * e) / (b * c)), e / a), None),
+        (HypergeometricSpec((q1, NEG_ZQ, Q(1 - t)), (neg_zq2, Q(2)), Q(t + 1)), None),
+        (HypergeometricSpec((NEG_Z, Q(-t)), (NEG_ZQ,), Q(t + 1)), t + 1),
+        (HypergeometricSpec((QMonomial(-1, 1, 1 - t), q1, Q(t)), (Q(t), neg_zq2), Q(t + 1)), None),
+        (HypergeometricSpec((QMonomial(1, 1, 1), QMonomial(-1, 0, 2), Q(-3)), (Q(2), NEG_ZQ), q1), None),
+    ]
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_eval_phi_cancellation_keeps_every_term(t):
+    for spec, terms in identity_specs(t):
+        for order in (1, 2, 7, 40, 100):
+            assert eval_phi(spec, terms, order) == legacy_eval_phi(spec, terms, order)
+
+
+def test_laurent_spec_is_laurent():
+    # the last identity spec reaches below q^0, so its windows do drift
+    spec, _ = identity_specs(4)[-1]
+    assert hyper._window_slack(spec, 10) > 0
+
+
+def test_library_paths_never_invert(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general inverse called")
+
+    monkeypatch.setattr(qseries, "qs_invert", forbidden)
+    monkeypatch.setattr(hyper, "qs_invert", forbidden, raising=False)
+    assert check_3phi2_transform(
+        Q(1), Q(1), QMonomial(-1, 1, 4), QMonomial(-1, 1, 2), Q(5), 30
+    )
+    assert verify_identity_chain(3, 30).passed
+    assert main(["verify", "--suite", "all", "--t", "1..3", "--order", "12"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # -- randomized identity instances -------------------------------------------

@@ -5,6 +5,8 @@ Expected coefficients were computed with the naive dictionary oracle in
 frozen here as literals.
 """
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,45 @@ def test_eq_up_to_requires_knowledge():
         a.eq_up_to(b, 4)
 
 
+def test_first_difference_agreeing_series():
+    with pytest.raises(InsufficientOrder):
+        QSeries.one(3).first_difference(QSeries.one(5), 4)
+    gf = bounded_gap_overpartition_gf(3, 12)
+    assert gf.first_difference(gf, 12) is None
+    # differences at or past the compared order do not count
+    wider = gf + QSeries.from_terms({10: 1}, 12)
+    assert gf.first_difference(wider, 10) is None
+    assert gf.eq_up_to(wider, 10)
+
+
+def test_first_difference_locates_a_q_fault():
+    gf = bounded_gap_overpartition_gf(3, 12)
+    faulty = gf + QSeries.from_terms({7: zp({2: 1})}, 12)
+    lhs = gf.zq_coeff(7, 2)
+    assert gf.first_difference(faulty, 12) == (7, 2, lhs, lhs + 1)
+    assert faulty.first_difference(gf, 12) == (7, 2, lhs + 1, lhs)
+    assert not gf.eq_up_to(faulty, 12)
+    assert gf.eq_up_to(faulty, 7)
+
+
+def test_first_difference_locates_a_z_fault():
+    # same q-exponent, two z-terms off: the lowest z-exponent is reported
+    a = QSeries.from_terms({2: zp({-1: 4, 0: 1, 3: 2})}, 5)
+    b = QSeries.from_terms({2: zp({-1: 4, 0: 2, 3: 9})}, 5)
+    assert a.first_difference(b, 5) == (2, 0, 1, 2)
+    # a coefficient present on one side only reads as 0 on the other
+    c = QSeries.from_terms({2: zp({-1: 4, 0: 1, 3: 2, 5: -3})}, 5)
+    assert a.first_difference(c, 5) == (2, 5, 0, -3)
+
+
+def test_first_difference_across_windows():
+    # the series start at different exponents: the lower start differs first
+    a = QSeries.from_terms({-2: 1, 1: 1}, 4)
+    b = QSeries.from_terms({1: 1}, 6)
+    assert a.first_difference(b, 4) == (-2, 0, 1, 0)
+    assert b.first_difference(QSeries.zero(6), 6) == (1, 0, 1, 0)
+
+
 def test_scalar_multiplication_keeps_window():
     s = QSeries.from_terms({0: 1, 2: -3}, 5)
     doubled = s * 2
@@ -246,6 +287,20 @@ def test_invert_errors():
         qs_invert(QSeries.zero(4), 4)
     with pytest.raises(InsufficientOrder):
         qs_invert(QSeries.one(3), 4)
+
+
+def test_invert_to_order_zero_knows_nothing():
+    # nothing is known about the inverse, which starts at q^-val
+    assert qs_invert(QSeries.from_terms({2: 1, 3: 5}, 6), 0) == QSeries.zero(-2)
+    assert str(qs_invert(QSeries.one(1), 0)) == "0 + O(q^0)"
+    assert qs_invert(QSeries.from_terms({-3: zp({1: -1})}, 0), 0) == QSeries.zero(3)
+
+
+def test_invert_rejects_negative_order():
+    with pytest.raises(InsufficientOrder, match="negative relative order"):
+        qs_invert(QSeries.one(4), -1)
+    with pytest.raises(InsufficientOrder, match="negative relative order"):
+        qs_invert(QSeries.from_terms({1: 1}, 3), -5)
 
 
 def test_invert_shifted_valuation():
@@ -503,3 +558,171 @@ def test_json_round_trip_random(a):
 def test_gf_matches_plain_partition_form(t, order):
     tracked = bounded_gap_overpartition_gf(t, order)
     assert tracked.subs_z(0).eq_up_to(bounded_gap_partition_gf(t, order), order)
+
+
+# -- the product kernel ----------------------------------------------------
+
+def legacy_mul_finite(a, factor):
+    """The schoolbook loop qs_mul_finite used before the packed product."""
+    pairs = [(exp, coeff) for exp, coeff in factor if coeff]
+    if not pairs or a.is_zero():
+        shift = min((exp for exp, _ in pairs), default=0)
+        return QSeries.zero(a.order + shift)
+    shift = min(exp for exp, _ in pairs)
+    lo = a.min_exp + shift
+    order = a.order + shift
+    width = order - lo
+    rows = [dict() for _ in range(width)]
+    for exp, coeff in pairs:
+        base = exp - shift
+        for i, ca in enumerate(a.coeffs):
+            pos = base + i
+            if pos >= width:
+                break
+            for za, va in ca.items():
+                for zb, vb in coeff.items():
+                    key = za + zb
+                    rows[pos][key] = rows[pos].get(key, 0) + va * vb
+    return QSeries(lo, [ZLaurentPoly(r) for r in rows], order)
+
+
+def legacy_invert(a, target_order):
+    """The term-by-term recurrence qs_invert used before Newton's iteration."""
+    (lead_exp, lead_sign), = a.coeffs[0].items()
+    val = a.min_exp
+    alpha = [dict(a.coeff(val + k).items()) for k in range(target_order)]
+    out = [{-lead_exp: lead_sign}]
+    for n in range(1, target_order):
+        acc = {}
+        for k in range(1, n + 1):
+            for za, va in alpha[k].items():
+                for zb, vb in out[n - k].items():
+                    acc[za + zb] = acc.get(za + zb, 0) + va * vb
+        out.append({exp - lead_exp: -lead_sign * c for exp, c in acc.items()})
+    return QSeries(-val, [ZLaurentPoly(r) for r in out], -val + target_order)
+
+
+BOUNDARIES = (2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1)
+
+big_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.sampled_from([s * m for m in BOUNDARIES for s in (1, -1)]),
+)
+big_z_polys = st.dictionaries(
+    st.integers(min_value=-6, max_value=6), big_coeffs, max_size=3
+).map(ZLaurentPoly)
+
+
+@st.composite
+def sparse_series(draw):
+    """Laurent windows, big and negative-z coefficients, zero rows, and
+    orders past the last stored coefficient."""
+    min_exp = draw(st.integers(min_value=-6, max_value=6))
+    width = draw(st.integers(min_value=0, max_value=8))
+    coeffs = [
+        draw(st.one_of(st.just(zp({})), big_z_polys)) for _ in range(width)
+    ]
+    return QSeries(min_exp, coeffs, min_exp + width + draw(st.integers(0, 3)))
+
+
+def assert_product_window(product, a, b):
+    assert product.order == min(a.order + b.min_exp, b.order + a.min_exp)
+    assert_series_matches(product, poly_mul(poly_from_series(a), poly_from_series(b)))
+
+
+@given(sparse_series(), sparse_series())
+@example(QSeries.zero(2), QSeries.one(3))
+@example(
+    QSeries(-2, [zp({-5: 2**200}), zp({}), zp({}), zp({6: -(2**200)})], 3),
+    QSeries(4, [zp({0: -1}), zp({}), zp({-3: 7, 5: 2**199})], 9),
+)
+def test_mul_kernel_matches_oracle(a, b):
+    assert_product_window(qs_mul(a, b), a, b)
+
+
+@pytest.mark.parametrize("magnitude", BOUNDARIES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mul_kernel_digit_width_boundaries(magnitude, sign):
+    def series(*coeffs):
+        return QSeries(0, [zp({0: c}) for c in coeffs], 4)
+
+    root = math.isqrt(magnitude)
+    cases = [
+        # a single product of exactly the magnitude
+        (series(sign * magnitude), series(1)),
+        (series(sign * magnitude, 1), series(1, -1)),
+        # two products summing to it, in adjacent digits
+        (series(magnitude // 2, magnitude - magnitude // 2), series(sign, sign)),
+        # factors near its square root
+        (series(sign * root, root + 1), series(root, -root - 1, 1)),
+        (series(sign * (root + 1)), series(magnitude // (root + 1))),
+    ]
+    for a, b in cases:
+        assert_product_window(qs_mul(a, b), a, b)
+    # the same magnitudes as z-terms of one row
+    a = QSeries(0, [zp({-1: sign * magnitude, 2: magnitude})], 3)
+    b = QSeries(0, [zp({0: 1, 1: -1}), zp({-2: sign})], 3)
+    assert_product_window(qs_mul(a, b), a, b)
+
+
+factors = st.lists(
+    st.tuples(st.integers(min_value=-5, max_value=8), big_z_polys), max_size=4
+)
+
+
+@given(sparse_series(), factors)
+@example(QSeries.one(4), [(0, zp({0: 1})), (0, zp({0: -1}))])
+@example(QSeries.one(4), [(0, zp({0: 1})), (2, zp({1: 3})), (0, zp({0: -1}))])
+@example(QSeries(-1, [zp({0: 2}), zp({1: 1})], 3), [(-2, zp({0: 1})), (-2, zp({0: -1}))])
+@example(QSeries.zero(3), [(-2, zp({0: 1})), (1, zp({0: 1}))])
+def test_mul_finite_matches_oracle(a, factor):
+    product = qs_mul_finite(a, factor)
+    summed = {}
+    for exp, coeff in factor:
+        for z_exp, c in coeff.items():
+            summed = poly_add(summed, {(exp, z_exp): c})
+    shift = min((exp for exp, coeff in factor if coeff), default=0)
+    assert product.order == a.order + shift
+    assert_series_matches(product, poly_mul(poly_from_series(a), summed))
+    assert product == legacy_mul_finite(a, factor)
+
+
+def test_mul_finite_cancelling_factor_is_zero():
+    a = bounded_gap_overpartition_gf(2, 8)
+    cancel = [(0, zp({0: 1})), (0, zp({0: -1}))]
+    assert qs_mul_finite(a, cancel) == QSeries.zero(8)
+    # the window still follows the lowest nonzero pair, even though it cancels
+    with_rest = qs_mul_finite(a, cancel + [(3, zp({1: 1}))])
+    assert with_rest.order == 8
+    assert with_rest == (a * QMonomial(1, 1, 3)).truncate(8)
+
+
+MONOMIAL_SHIFTS = [
+    QMonomial(sign, z_exp, q_exp)
+    for sign in (1, -1)
+    for z_exp in (-2, 0, 3)
+    for q_exp in (-3, 0, 1, 4)
+]
+
+
+@pytest.mark.parametrize("mono", MONOMIAL_SHIFTS, ids=str)
+def test_monomial_product_is_a_shift(mono):
+    operands = [
+        QSeries.zero(5),
+        QSeries.one(1),
+        bounded_gap_overpartition_gf(3, 9),
+        QSeries(-3, [zp({-1: 2, 2: -5}), zp({}), zp({0: 10**30})], 2),
+        pochhammer(QMonomial(-1, 1, -2), 3, 6),
+    ]
+    for a in operands:
+        expected = legacy_mul_finite(a, [(mono.q_exp, mono.z_part())])
+        assert a * mono == expected
+        assert mono * a == expected
+
+
+@given(invertible_series())
+@example(QSeries(0, [zp({0: 1}), zp({0: 2**70}), zp({1: -(2**64)})], 3))
+def test_invert_matches_recurrence(a):
+    for target in range(1, a.order - a.min_exp + 1):
+        assert qs_invert(a, target) == legacy_invert(a, target)
