@@ -22,6 +22,7 @@ import sys
 from .hyper import check_3phi2_transform, check_q_chu_vandermonde, verify_identity_chain
 from .maps import NotInDomain, fold, fold_preimages, merge, merge_preimages, verify_fiber_identity
 from .partitions import (
+    Bipartition,
     InvalidPartition,
     enumerated_bounded_gap_gf,
     gf_from_enumeration,
@@ -44,6 +45,8 @@ _DEFAULT_ORDER = 30
 _DEFAULT_T_RANGE = "1..5"
 _DEFAULT_FIBER_MAX_N = 12
 _SUITES = ("gf", "fibers", "chu", "transform", "chain")
+# Renderings write every copy of a part, so their size is the part count.
+_PRINT_BUDGET = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +106,16 @@ def _emit(text: str, output_path: str | None) -> None:
             handle.write(text)
 
 
+def _check_print_budget(parts: int) -> None:
+    """Refuse a rendering of more than ``_PRINT_BUDGET`` parts before any
+    of it is built."""
+    if parts > _PRINT_BUDGET:
+        raise ValueError(
+            f"the rendering has {parts} parts, over the printing budget of "
+            f"{_PRINT_BUDGET}"
+        )
+
+
 def _render_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(header)]
@@ -132,10 +145,13 @@ def _cmd_table(args) -> int:
             reference = reference.subs_z(0)
         elif args.z == "one":
             reference = reference.subs_z(1)
-        if not series.eq_up_to(reference, max_n + 1):
+        diff = series.first_difference(reference, max_n + 1)
+        if diff is not None:
+            n, m, closed, counted = diff
             print(
                 f"cross-check failed: closed form disagrees with enumeration "
-                f"for t={t}, n<={max_n}",
+                f"for t={t}, n<={max_n}; first difference at q^{n} z^{m}: "
+                f"closed form {closed}, enumeration {counted}",
                 file=sys.stderr,
             )
             return 2
@@ -187,6 +203,7 @@ def _cmd_fold(args) -> int:
     source = parse_overpartition(args.input)
     measured = stats(source, args.t)
     image = fold(source, args.t)
+    _check_print_budget(image.num_parts)
     fields = [
         ("image", str(image)),
         ("weight", image.weight),
@@ -212,6 +229,7 @@ def _cmd_merge(args) -> int:
         )
         return 1
     image = merge(source, args.t)
+    _check_print_budget(image.num_parts)
     fields = [
         ("image", str(image)),
         ("weight", image.weight),
@@ -232,6 +250,14 @@ def _cmd_preimages(args) -> int:
         report = fold_preimages(mu, args.t)
     else:
         report = merge_preimages(mu, args.t)
+    # a bipartition prints its block of t's as t^count
+    shown = [
+        member.second if isinstance(member, Bipartition) else member
+        for member in report.fiber
+    ]
+    if args.format == "json":
+        shown.append(mu)
+    _check_print_budget(sum(member.num_parts for member in shown))
     if args.check:
         if args.map == "fold":
             found = [

@@ -169,9 +169,7 @@ def eval_phi(
             term = qs_div_one_minus(
                 term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
             )
-        term = term * arg
-        if shift:
-            term = term * QMonomial(-1 if shift % 2 else 1, 0, (n - 1) * shift)
+        term = term * (arg * QMonomial(-1 if shift % 2 else 1, 0, (n - 1) * shift))
         if term.is_zero():
             break
         if term.order < target_order:
@@ -280,8 +278,8 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
 
     # 2: the same sum with the factors bundled into Pochhammer quotients:
     #    (1+z) sum_{r>=1} q^r (q)_{r-1} (-zq)_{r+t-1} / ((q)_{r+t} (-zq)_r)
-    term = qs_div_pochhammer(qs_mul_pochhammer(q_term, neg_zq, t), q1, t + 1)
-    term = qs_div_one_minus(term, neg_zq)
+    first = qs_div_pochhammer(qs_mul_pochhammer(q_term, neg_zq, t), q1, t + 1)
+    term = first = qs_div_one_minus(first, neg_zq)
     total = QSeries.zero(order)
     r = 1
     while r < order and not term.is_zero():
@@ -295,10 +293,8 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
 
     # 3: prefactor (1+z) q (-zq)_t / ((1+zq) (q)_{t+1}) times the series
     #    with numerator (q, q, -zq^{t+1}), denominator (-zq^2, q^{t+2}),
-    #    argument q
-    prefactor = qs_mul_pochhammer(q_term * _ONE_PLUS_Z, neg_zq, t)
-    prefactor = qs_div_one_minus(prefactor, neg_zq)
-    prefactor = qs_div_pochhammer(prefactor, q1, t + 1)
+    #    argument q; the prefactor is line 2's first term times (1+z)
+    prefactor = first * _ONE_PLUS_Z
     spec_3 = HypergeometricSpec(
         (q1, q1, QMonomial(-1, 1, t + 1)),
         (QMonomial(-1, 1, 2), QMonomial.q_power(t + 2)),

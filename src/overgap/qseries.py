@@ -8,9 +8,15 @@ is claimed.  All operations are exact and propagate the tightest window
 the operands justify, so "equal up to order N" is always a statement
 about coefficients that are actually known.
 
+Every merge of z-term maps, in sums, differences, ``ZLaurentPoly``
+products and the binomial kernels alike, goes through one loop,
+``_add_into``, which adds a scaled, z-shifted term map into a row in
+place and drops the coefficients that cancel.
+
 Pochhammer products and quotients are built one binomial factor at a
 time: :func:`qs_mul_one_minus` multiplies by ``(1 - a*q^k)`` and
-:func:`qs_div_one_minus` divides by it, each in one pass over the window.
+:func:`qs_div_one_minus` divides by it, each in one pass over the window
+that adds a shifted, signed row into each row.
 Every other product runs through one kernel, :func:`qs_mul`, by Kronecker
 substitution: each operand's (q, z) grid is packed into one integer with
 a signed, byte-aligned digit per coefficient, and a single integer
@@ -47,7 +53,6 @@ __all__ = [
     "qs_mul_one_minus",
     "qs_mul_finite",
     "pochhammer",
-    "pochhammer_min_exp",
     "pochhammer_infinite",
     "qs_mul_pochhammer",
     "qs_div_pochhammer",
@@ -70,6 +75,21 @@ class DivergentProduct(QSeriesError):
 
 class InsufficientOrder(QSeriesError):
     """An operand does not know its coefficients far enough for the request."""
+
+
+def _add_into(out: dict[int, int], terms: Mapping[int, int], z_shift: int, scale: int) -> None:
+    """out += scale * z^z_shift * terms, in place, for a nonzero ``scale``.
+
+    The one loop that merges z-term maps: a sum that cancels is deleted,
+    so ``out`` keeps no zero coefficient when it started with none.
+    """
+    for exp, coeff in terms.items():
+        key = exp + z_shift
+        total = out.get(key, 0) + scale * coeff
+        if total:
+            out[key] = total
+        else:
+            del out[key]
 
 
 class ZLaurentPoly:
@@ -148,19 +168,18 @@ class ZLaurentPoly:
             return self._terms == ({0: other} if other else {})
         return NotImplemented
 
-    def __add__(self, other) -> "ZLaurentPoly":
+    def _plus(self, other, scale: int) -> "ZLaurentPoly":
+        """self + scale * other, for an int or polynomial ``other``."""
         if isinstance(other, int):
             other = ZLaurentPoly.const(other)
         elif not isinstance(other, ZLaurentPoly):
             return NotImplemented
         out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            total = out.get(exp, 0) + coeff
-            if total:
-                out[exp] = total
-            elif exp in out:
-                del out[exp]
+        _add_into(out, other._terms, 0, scale)
         return ZLaurentPoly._make(out)
+
+    def __add__(self, other) -> "ZLaurentPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -168,14 +187,10 @@ class ZLaurentPoly:
         return ZLaurentPoly._make({exp: -coeff for exp, coeff in self._terms.items()})
 
     def __sub__(self, other) -> "ZLaurentPoly":
-        if isinstance(other, int):
-            other = ZLaurentPoly.const(other)
-        elif not isinstance(other, ZLaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "ZLaurentPoly":
-        return (-self) + other
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other) -> "ZLaurentPoly":
         if isinstance(other, int):
@@ -186,15 +201,12 @@ class ZLaurentPoly:
             )
         if not isinstance(other, ZLaurentPoly):
             return NotImplemented
+        small, big = self._terms, other._terms
+        if len(small) > len(big):
+            small, big = big, small
         out: dict[int, int] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = ea + eb
-                total = out.get(exp, 0) + ca * cb
-                if total:
-                    out[exp] = total
-                elif exp in out:
-                    del out[exp]
+        for exp, coeff in small.items():
+            _add_into(out, big, exp, coeff)
         return ZLaurentPoly._make(out)
 
     __rmul__ = __mul__
@@ -364,10 +376,6 @@ class QSeries:
             row[exp - lo] = coeff
         return cls(lo, row, order)
 
-    @classmethod
-    def from_monomial(cls, mono: QMonomial, order: int) -> "QSeries":
-        return cls.from_terms({mono.q_exp: mono.z_part()}, order)
-
     # -- access ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -460,25 +468,28 @@ class QSeries:
             return QSeries.from_terms({0: other}, self.order)
         return None
 
-    def __add__(self, other) -> "QSeries":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    def _plus(self, rhs: "QSeries", scale: int) -> "QSeries":
+        """self + scale * rhs on the intersection of the known windows."""
         order = min(self.order, rhs.order)
         lo = min(self.min_exp, rhs.min_exp)
         if lo >= order:
             return QSeries.zero(order)
         width = order - lo
-        row = [_Z_ZERO] * width
-        for src in (self, rhs):
-            base = src.min_exp - lo
-            for i, coeff in enumerate(src.coeffs):
-                pos = base + i
-                if pos >= width:
-                    break
-                if coeff:
-                    row[pos] = row[pos] + coeff if row[pos] else coeff
-        return QSeries(lo, row, order)
+        rows = [_Z_ZERO] * width
+        for pos, coeff in zip(range(self.min_exp - lo, width), self.coeffs):
+            rows[pos] = coeff
+        for pos, coeff in zip(range(rhs.min_exp - lo, width), rhs.coeffs):
+            if coeff._terms:
+                out = dict(rows[pos]._terms)
+                _add_into(out, coeff._terms, 0, scale)
+                rows[pos] = ZLaurentPoly._make(out)
+        return QSeries(lo, rows, order)
+
+    def __add__(self, other) -> "QSeries":
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self._plus(rhs, 1)
 
     __radd__ = __add__
 
@@ -489,13 +500,13 @@ class QSeries:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._plus(rhs, -1)
 
     def __rsub__(self, other) -> "QSeries":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._plus(self, -1)
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, int):
@@ -787,22 +798,14 @@ def qs_div_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
     if a.is_zero():
         return a
     width = a.order - a.min_exp
-    rows: list[dict[int, int]] = []
+    rows = [dict(row._terms) for row in a.coeffs]
+    rows += [{} for _ in range(width - len(rows))]
     z_shift, z_sign = mono.z_exp, mono.sign
-    for i in range(width):
-        base = dict(a.coeffs[i]._terms) if i < len(a.coeffs) else {}
-        if i - step >= 0:
-            for exp, coeff in rows[i - step].items():
-                key = exp + z_shift
-                total = base.get(key, 0) + z_sign * coeff
-                if total:
-                    base[key] = total
-                elif key in base:
-                    del base[key]
-        rows.append(base)
-    return QSeries(
-        a.min_exp, [ZLaurentPoly._make(r) for r in rows], a.order
-    )
+    for i in range(step, width):
+        prev = rows[i - step]
+        if prev:
+            _add_into(rows[i], prev, z_shift, z_sign)
+    return QSeries(a.min_exp, [ZLaurentPoly._make(r) for r in rows], a.order)
 
 
 def qs_mul_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
@@ -818,29 +821,20 @@ def qs_mul_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
     if a.is_zero():
         return QSeries.zero(a.order + shift)
     coeffs = a.coeffs
-    size = len(coeffs)
     # row i is coeffs[i - one_at] - mono * coeffs[i - mono_at]; one offset is 0
     one_at = -shift
     mono_at = step - shift
+    width = min(a.order - a.min_exp, len(coeffs) + max(one_at, mono_at))
+    rows: list[dict[int, int]] = [{} for _ in range(width)]
+    for i, row in zip(range(one_at, width), coeffs):
+        rows[i] = dict(row._terms)
     z_shift, neg_sign = mono.z_exp, -mono.sign
-    rows: list[ZLaurentPoly] = []
-    for i in range(min(a.order - a.min_exp, size + max(one_at, mono_at))):
-        j = i - one_at
-        base = coeffs[j] if 0 <= j < size else _Z_ZERO
-        k = i - mono_at
-        if not 0 <= k < size or not coeffs[k]:
-            rows.append(base)
-            continue
-        row = dict(base._terms)
-        for exp, coeff in coeffs[k]._terms.items():
-            key = exp + z_shift
-            total = row.get(key, 0) + neg_sign * coeff
-            if total:
-                row[key] = total
-            elif key in row:
-                del row[key]
-        rows.append(ZLaurentPoly._make(row))
-    return QSeries(a.min_exp + shift, rows, a.order + shift)
+    for i, row in zip(range(mono_at, width), coeffs):
+        if row._terms:
+            _add_into(rows[i], row._terms, z_shift, neg_sign)
+    return QSeries(
+        a.min_exp + shift, [ZLaurentPoly._make(r) for r in rows], a.order + shift
+    )
 
 
 # -- Pochhammer symbols ----------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import overgap.cli as cli
 from overgap.cli import main
+from overgap.qseries import QSeries, ZLaurentPoly, bounded_gap_overpartition_gf
 
 TABLE_T3 = """\
 n  m=0  m=1  m=2
@@ -38,6 +39,23 @@ def test_table_text(capsys):
 def test_table_check_passes(capsys):
     code, _, err = run(capsys, "table", "--t", "2", "--max-n", "8", "--check")
     assert code == 0 and err == ""
+
+
+def test_table_check_names_first_difference(capsys, monkeypatch):
+    real = cli.gf_from_enumeration
+
+    def bumped(family, t, max_n):
+        # one extra overpartition of 5 with one mark
+        return real(family, t, max_n) + QSeries.from_terms({5: ZLaurentPoly({1: 1})}, max_n + 1)
+
+    monkeypatch.setattr(cli, "gf_from_enumeration", bumped)
+    closed = bounded_gap_overpartition_gf(2, 9).zq_coeff(5, 1)
+    code, out, err = run(capsys, "table", "--t", "2", "--max-n", "8", "--check")
+    assert code == 2 and out == ""
+    assert err == (
+        "cross-check failed: closed form disagrees with enumeration for t=2, n<=8; "
+        f"first difference at q^5 z^1: closed form {closed}, enumeration {closed + 1}\n"
+    )
 
 
 def test_table_csv(capsys):
@@ -127,6 +145,36 @@ def test_merge_text(capsys):
 def test_merge_bound_mismatch(capsys):
     code, _, err = run(capsys, "merge", "--t", "2", "[3^1 | 3]")
     assert code == 1 and "t=3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fold", "--t", "1", "1000000000000"),
+        ("merge", "--t", "2", "[2^10000000000 | 1]"),
+        ("preimages", "--t", "1", "--map", "fold", ",".join(["1"] * 1000)),
+    ],
+)
+def test_renderings_over_the_printing_budget_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "over the printing budget" in err
+
+
+def test_printing_budget_counts_printed_parts(capsys, monkeypatch):
+    fold_argv = ("fold", "--t", "3", "7,4~")  # image 3,3,3,1~,1
+    fiber_argv = ("preimages", "--t", "3", "--map", "fold", "3,3,3")
+    monkeypatch.setattr(cli, "_PRINT_BUDGET", 5)
+    assert run(capsys, *fold_argv)[0] == 0
+    monkeypatch.setattr(cli, "_PRINT_BUDGET", 4)
+    assert run(capsys, *fold_argv)[0] == 1
+    # the fiber 9 | 9~ | 6,3 | 6,3~ | 3,3,3 | 3~,3,3 has 12 parts; JSON
+    # also prints the target 3,3,3
+    monkeypatch.setattr(cli, "_PRINT_BUDGET", 12)
+    assert run(capsys, *fiber_argv)[0] == 0
+    assert run(capsys, *fiber_argv, "--format", "json")[0] == 1
+    monkeypatch.setattr(cli, "_PRINT_BUDGET", 15)
+    assert run(capsys, *fiber_argv, "--format", "json")[0] == 0
 
 
 # -- preimages ---------------------------------------------------------------

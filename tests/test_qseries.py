@@ -726,3 +726,160 @@ def test_monomial_product_is_a_shift(mono):
 def test_invert_matches_recurrence(a):
     for target in range(1, a.order - a.min_exp + 1):
         assert qs_invert(a, target) == legacy_invert(a, target)
+
+
+# -- the z-term merge --------------------------------------------------------
+
+
+def dict_sum(a, b, scale=1):
+    out = dict(a)
+    for z, c in b.items():
+        out[z] = out.get(z, 0) + scale * c
+    return {z: c for z, c in out.items() if c}
+
+
+def dict_product(a, b):
+    out = {}
+    for za, ca in a.items():
+        for zb, cb in b.items():
+            out[za + zb] = out.get(za + zb, 0) + ca * cb
+    return {z: c for z, c in out.items() if c}
+
+
+wide_z_polys = st.dictionaries(
+    st.integers(min_value=-40, max_value=40), big_coeffs, min_size=12, max_size=30
+).map(ZLaurentPoly)
+
+
+@st.composite
+def z_poly_pairs(draw):
+    """Pairs whose sum or difference cancels in part or in full, and pairs
+    of very different sizes."""
+    a = draw(st.one_of(big_z_polys, wide_z_polys))
+    negated = {z: -c for z, c in a.items()}
+    b = draw(st.one_of(
+        big_z_polys,
+        wide_z_polys,
+        st.just(ZLaurentPoly(negated)),
+        big_z_polys.map(lambda extra: ZLaurentPoly(dict_sum(negated, dict(extra.items())))),
+    ))
+    return a, b
+
+
+@given(z_poly_pairs(), st.integers(min_value=-3, max_value=3))
+@example((zp({1: 2, -1: 3}), zp({1: -2, -1: -3})), 0)
+@example((zp({0: 1, 1: 1}), zp({0: 1, 1: -1})), 5)
+@example((zp({0: 4}), zp({0: 4, 3: 1})), 4)
+def test_z_poly_sum_difference_product_match_dict_oracle(pair, c):
+    a, b = pair
+    ta, tb = dict(a.items()), dict(b.items())
+    cases = [
+        (a + b, dict_sum(ta, tb)),
+        (a - b, dict_sum(ta, tb, -1)),
+        (a - a, {}),
+        (a * b, dict_product(ta, tb)),
+        (b * a, dict_product(ta, tb)),
+        (a + c, dict_sum(ta, {0: c})),
+        (a - c, dict_sum(ta, {0: c}, -1)),
+        (c - a, dict_sum({0: c}, ta, -1)),
+    ]
+    for got, want in cases:
+        terms = dict(got.items())
+        assert terms == want
+        assert 0 not in terms.values()
+
+
+@given(sparse_series(), sparse_series(), st.integers(min_value=-3, max_value=3))
+@example(QSeries(-1, [zp({0: 2}), zp({1: 1})], 3), QSeries(-1, [zp({0: 2}), zp({1: 1})], 3), 0)
+@example(QSeries.one(4), QSeries(0, [zp({0: 1}), zp({2: 5})], 2), 1)
+def test_series_difference_is_signed_sum(a, b, c):
+    difference = a - b
+    assert difference == a + (-b)
+    assert difference.order == min(a.order, b.order)
+    negated_b = {key: -v for key, v in poly_from_series(b).items()}
+    assert_series_matches(difference, poly_add(poly_from_series(a), negated_b))
+    assert a - a == QSeries.zero(a.order)
+    if a.order <= 0:
+        # kept as before: coercing c to a series ending at or below q^0 fails
+        with pytest.raises(ValueError, match="at or past order"):
+            c - a
+        return
+    assert c - a == -a + c
+    assert_series_matches(
+        c - a, poly_add({(0, 0): c}, {key: -v for key, v in poly_from_series(a).items()})
+    )
+
+
+def legacy_div_one_minus(a, mono):
+    """The row loop qs_div_one_minus used before the shared merge."""
+    step = mono.q_exp
+    if a.is_zero():
+        return a
+    width = a.order - a.min_exp
+    rows = []
+    z_shift, z_sign = mono.z_exp, mono.sign
+    for i in range(width):
+        base = dict(a.coeffs[i].items()) if i < len(a.coeffs) else {}
+        if i - step >= 0:
+            for exp, coeff in rows[i - step].items():
+                key = exp + z_shift
+                total = base.get(key, 0) + z_sign * coeff
+                if total:
+                    base[key] = total
+                elif key in base:
+                    del base[key]
+        rows.append(base)
+    return QSeries(a.min_exp, [ZLaurentPoly(r) for r in rows], a.order)
+
+
+def legacy_mul_one_minus(a, mono):
+    """The row loop qs_mul_one_minus used before the shared merge."""
+    step = mono.q_exp
+    shift = min(0, step)
+    if a.is_zero():
+        return QSeries.zero(a.order + shift)
+    coeffs = a.coeffs
+    size = len(coeffs)
+    one_at = -shift
+    mono_at = step - shift
+    z_shift, neg_sign = mono.z_exp, -mono.sign
+    rows = []
+    for i in range(min(a.order - a.min_exp, size + max(one_at, mono_at))):
+        j = i - one_at
+        base = coeffs[j] if 0 <= j < size else zp({})
+        k = i - mono_at
+        if not 0 <= k < size or not coeffs[k]:
+            rows.append(base)
+            continue
+        row = dict(base.items())
+        for exp, coeff in coeffs[k].items():
+            key = exp + z_shift
+            total = row.get(key, 0) + neg_sign * coeff
+            if total:
+                row[key] = total
+            elif key in row:
+                del row[key]
+        rows.append(ZLaurentPoly(row))
+    return QSeries(a.min_exp + shift, rows, a.order + shift)
+
+
+def binomials(q_steps):
+    return st.builds(
+        QMonomial, st.sampled_from((1, -1)), st.sampled_from((-1, 0, 2)), q_steps
+    )
+
+
+@given(sparse_series(), binomials(st.integers(min_value=-3, max_value=4)))
+@example(QSeries(0, [zp({0: 1}), zp({1: -1})], 9), QMonomial(1, 0, 0))
+@example(QSeries(-2, [zp({0: 3}), zp({}), zp({2: 1})], 1), QMonomial(-1, -1, -3))
+@example(QSeries(1, [zp({-1: 2})], 3), QMonomial(1, 2, 4))
+def test_mul_one_minus_matches_row_loop(a, mono):
+    assert qs_mul_one_minus(a, mono) == legacy_mul_one_minus(a, mono)
+
+
+@given(sparse_series(), binomials(st.integers(min_value=1, max_value=4)))
+@example(QSeries(0, [zp({0: 1}), zp({0: -1})], 6), QMonomial(1, 0, 1))
+@example(QSeries.one(12), QMonomial(-1, 2, 3))
+@example(QSeries(-4, [zp({-1: 5, 2: -1}), zp({}), zp({0: 2**70})], 7), QMonomial(1, -1, 2))
+def test_div_one_minus_matches_row_loop(a, mono):
+    assert qs_div_one_minus(a, mono) == legacy_div_one_minus(a, mono)
