@@ -22,10 +22,10 @@ import sys
 from .hyper import check_3phi2_transform, check_q_chu_vandermonde, verify_identity_chain
 from .maps import NotInDomain, fold, fold_preimages, merge, merge_preimages, verify_fiber_identity
 from .partitions import (
-    Bipartition,
     InvalidPartition,
     enumerated_bounded_gap_gf,
     gf_from_enumeration,
+    is_bounded_parts,
     iter_bipartitions,
     iter_bounded_gap,
     parse_bipartition,
@@ -155,48 +155,39 @@ def _cmd_table(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.z == "tracked":
+    tracked = args.z == "tracked"
+    columns = [0]
+    if tracked:
         mark_max = 0
         for n in range(1, max_n + 1):
             poly = series.coeff(n)
             if not poly.is_zero():
                 mark_max = max(mark_max, poly.max_z_exp())
         columns = list(range(mark_max + 1))
-        header = ["n"] + [f"m={m}" for m in columns]
-        rows = []
-        for n in range(1, max_n + 1):
-            poly = series.coeff(n)
-            rows.append([str(n)] + [str(poly.coefficient(m)) for m in columns])
-        if args.format == "json":
-            payload = {
-                "t": t,
-                "max_n": max_n,
-                "z": args.z,
-                "columns": columns,
-                "rows": [
-                    {"n": int(row[0]), "counts": row[1:]} for row in rows
-                ],
-            }
-            _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    rows = []
+    for n in range(1, max_n + 1):
+        poly = series.coeff(n)
+        rows.append([str(n)] + [str(poly.coefficient(m)) for m in columns])
+    if args.format == "json":
+        payload = {"t": t, "max_n": max_n, "z": args.z}
+        if tracked:
+            payload["columns"] = columns
+            payload["rows"] = [{"n": int(row[0]), "counts": row[1:]} for row in rows]
         else:
-            _emit(_render_rows(header, rows, args.format), args.output)
+            payload["rows"] = [{"n": int(row[0]), "count": row[1]} for row in rows]
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        header = ["n", "count"]
-        rows = [
-            [str(n), str(series.coeff(n).coefficient(0))]
-            for n in range(1, max_n + 1)
-        ]
-        if args.format == "json":
-            payload = {
-                "t": t,
-                "max_n": max_n,
-                "z": args.z,
-                "rows": [{"n": int(row[0]), "count": row[1]} for row in rows],
-            }
-            _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        else:
-            _emit(_render_rows(header, rows, args.format), args.output)
+        header = ["n"] + ([f"m={m}" for m in columns] if tracked else ["count"])
+        text = _render_rows(header, rows, args.format)
+    _emit(text, args.output)
     return 0
+
+
+def _emit_fields(fields: list[tuple[str, object]], args) -> None:
+    if args.format == "json":
+        _emit(json.dumps(dict(fields), indent=2) + "\n", args.output)
+    else:
+        _emit("".join(f"{key}: {value}\n" for key, value in fields), args.output)
 
 
 def _cmd_fold(args) -> int:
@@ -204,18 +195,17 @@ def _cmd_fold(args) -> int:
     measured = stats(source, args.t)
     image = fold(source, args.t)
     _check_print_budget(image.num_parts)
-    fields = [
-        ("image", str(image)),
-        ("weight", image.weight),
-        ("parts", image.num_parts),
-        ("marked", image.num_marked),
-        ("quotient", measured.quotient),
-        ("raised", measured.raised),
-    ]
-    if args.format == "json":
-        _emit(json.dumps(dict(fields), indent=2) + "\n", args.output)
-    else:
-        _emit("".join(f"{key}: {value}\n" for key, value in fields), args.output)
+    _emit_fields(
+        [
+            ("image", str(image)),
+            ("weight", image.weight),
+            ("parts", image.num_parts),
+            ("marked", image.num_marked),
+            ("quotient", measured.quotient),
+            ("raised", measured.raised),
+        ],
+        args,
+    )
     return 0
 
 
@@ -230,47 +220,39 @@ def _cmd_merge(args) -> int:
         return 1
     image = merge(source, args.t)
     _check_print_budget(image.num_parts)
-    fields = [
-        ("image", str(image)),
-        ("weight", image.weight),
-        ("parts", image.num_parts),
-        ("marked", image.num_marked),
-        ("merged_t_count", source.t_count),
-    ]
-    if args.format == "json":
-        _emit(json.dumps(dict(fields), indent=2) + "\n", args.output)
-    else:
-        _emit("".join(f"{key}: {value}\n" for key, value in fields), args.output)
+    _emit_fields(
+        [
+            ("image", str(image)),
+            ("weight", image.weight),
+            ("parts", image.num_parts),
+            ("marked", image.num_marked),
+            ("merged_t_count", source.t_count),
+        ],
+        args,
+    )
     return 0
 
 
 def _cmd_preimages(args) -> int:
     mu = parse_overpartition(args.input)
+    t = args.t
     if args.map == "fold":
-        report = fold_preimages(mu, args.t)
+        preimages, domain, apply_map = fold_preimages, iter_bounded_gap, fold
     else:
-        report = merge_preimages(mu, args.t)
-    # a bipartition prints its block of t's as t^count
-    shown = [
-        member.second if isinstance(member, Bipartition) else member
-        for member in report.fiber
-    ]
-    if args.format == "json":
-        shown.append(mu)
-    _check_print_budget(sum(member.num_parts for member in shown))
+        preimages, domain, apply_map = merge_preimages, iter_bipartitions, merge
+    # With m copies of t and r other parts, either fiber prints
+    # r + 2mr + m(m+1) parts: a member of r + k parts and its marked twin
+    # for each k in 1..m, and one of r parts when r > 0 (for merge, the
+    # second components).  JSON also prints mu.  Out of the family the
+    # fiber builder refuses mu at once, with its own message.
+    if is_bounded_parts(mu, t):
+        m = mu.multiplicity(t)
+        r = mu.num_parts - m
+        shown = r + 2 * m * r + m * (m + 1)
+        _check_print_budget(shown + mu.num_parts if args.format == "json" else shown)
+    report = preimages(mu, t)
     if args.check:
-        if args.map == "fold":
-            found = [
-                pi
-                for pi in iter_bounded_gap(args.t, mu.weight)
-                if fold(pi, args.t) == mu
-            ]
-        else:
-            found = [
-                beta
-                for beta in iter_bipartitions(args.t, mu.weight)
-                if merge(beta, args.t) == mu
-            ]
+        found = [beta for beta in domain(t, mu.weight) if apply_map(beta, t) == mu]
         if set(found) != set(report.fiber) or len(found) != len(report.fiber):
             print(
                 f"cross-check failed: constructed fiber of {mu} disagrees with "
@@ -291,6 +273,13 @@ def _cmd_preimages(args) -> int:
 
 def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) -> list[dict]:
     entries: list[dict] = []
+
+    def add(suite: str, t: int, order: int, ok: bool, details: dict) -> None:
+        entries.append(
+            {"suite": suite, "t": t, "order": order, "pass": ok, "details": details}
+        )
+
+    q1 = QMonomial.q_power(1)
     neg_z = QMonomial(-1, 1, 0)
     neg_zq = QMonomial(-1, 1, 1)
     for suite in suites:
@@ -300,78 +289,31 @@ def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) ->
                 ok = bounded_gap_overpartition_gf(t, order).eq_up_to(
                     census[t], order
                 )
-                entries.append(
-                    {
-                        "suite": "gf",
-                        "t": t,
-                        "order": order,
-                        "pass": ok,
-                        "details": {"compared_to": "enumeration", "max_n": order - 1},
-                    }
-                )
+                add(suite, t, order, ok, {"compared_to": "enumeration", "max_n": order - 1})
         elif suite == "fibers":
             for t in ts:
                 for which in ("fold", "merge"):
                     check = verify_fiber_identity(t, max_n, which)
-                    entries.append(
-                        {
-                            "suite": "fibers",
-                            "t": t,
-                            "order": max_n,
-                            "pass": check.passed,
-                            "details": check.to_json_dict(),
-                        }
-                    )
+                    add(suite, t, max_n, check.passed, check.to_json_dict())
         elif suite == "chu":
             for t in ts:
                 ok = check_q_chu_vandermonde(neg_z, neg_zq, t, order)
-                entries.append(
-                    {
-                        "suite": "chu",
-                        "t": t,
-                        "order": order,
-                        "pass": ok,
-                        "details": {"a": "-z", "c": "-z*q", "n": t},
-                    }
-                )
+                add(suite, t, order, ok, {"a": str(neg_z), "c": str(neg_zq), "n": t})
         elif suite == "transform":
-            q1 = QMonomial.q_power(1)
             for t in ts:
-                ok = check_3phi2_transform(
-                    q1,
-                    q1,
-                    QMonomial(-1, 1, t + 1),
-                    QMonomial(-1, 1, 2),
-                    QMonomial.q_power(t + 2),
-                    order,
+                params = dict(
+                    a=q1,
+                    b=q1,
+                    c=QMonomial(-1, 1, t + 1),
+                    d=QMonomial(-1, 1, 2),
+                    e=QMonomial.q_power(t + 2),
                 )
-                entries.append(
-                    {
-                        "suite": "transform",
-                        "t": t,
-                        "order": order,
-                        "pass": ok,
-                        "details": {
-                            "a": "q",
-                            "b": "q",
-                            "c": f"-z*q^{t + 1}",
-                            "d": "-z*q^2",
-                            "e": f"q^{t + 2}",
-                        },
-                    }
-                )
+                ok = check_3phi2_transform(**params, target_order=order)
+                add(suite, t, order, ok, {k: str(v) for k, v in params.items()})
         elif suite == "chain":
             for t in ts:
                 report = verify_identity_chain(t, order, "tracked")
-                entries.append(
-                    {
-                        "suite": "chain",
-                        "t": t,
-                        "order": order,
-                        "pass": report.passed,
-                        "details": report.to_json_dict(),
-                    }
-                )
+                add(suite, t, order, report.passed, report.to_json_dict())
     return entries
 
 

@@ -20,9 +20,13 @@ fall below the order.
 The module also packages three verification routines: the classical
 q-Chu-Vandermonde summation, a three-parameter series transformation,
 and a chain of displayed forms connecting the smallest-part expansion of
-the bounded-gap generating function to its closed form.  Every
-Pochhammer quotient, finite or infinite, is divided out one factor at a
-time; no general inverse is taken.
+the bounded-gap generating function to its closed form.  Chain lines 3-4
+are the two sides of the transformation at (q, q, -zq^(t+1); -zq^2,
+q^(t+2)) and lines 5-6 the two sides of q-Chu-Vandermonde at (-z, -zq,
+t), each times its prefactor; the chain and the two checks compute those
+sides with the same code.  Every Pochhammer quotient, finite or
+infinite, is divided out one factor at a time; no general inverse is
+taken.
 """
 
 from __future__ import annotations
@@ -178,6 +182,21 @@ def eval_phi(
     return total
 
 
+def _chu_sides(
+    a: QMonomial, c: QMonomial, n: int, target_order: int
+) -> tuple[QSeries, QSeries]:
+    """Both sides of :func:`check_q_chu_vandermonde`, series first."""
+    if n < 0:
+        raise ValueError("the termination depth n must be nonnegative")
+    spec = HypergeometricSpec(
+        (a, QMonomial.q_power(-n)), (c,), (c * QMonomial.q_power(n)) / a
+    )
+    lhs = eval_phi(spec, n + 1, target_order)
+    # eval_phi has already rejected c.q_exp < 1, so every factor divides
+    rhs = qs_div_pochhammer(pochhammer(c / a, n, target_order), c, n)
+    return lhs, rhs
+
+
 def check_q_chu_vandermonde(
     a: QMonomial, c: QMonomial, n: int, target_order: int
 ) -> bool:
@@ -187,25 +206,35 @@ def check_q_chu_vandermonde(
     denominator parameter c and argument c q^n / a must equal
     (c/a; q)_n / (c; q)_n to the requested order.
     """
-    if n < 0:
-        raise ValueError("the termination depth n must be nonnegative")
-    spec = HypergeometricSpec(
-        (a, QMonomial.q_power(-n)), (c,), (c * QMonomial.q_power(n)) / a
-    )
-    lhs = eval_phi(spec, n + 1, target_order)
-    # eval_phi has already rejected c.q_exp < 1, so every factor divides
-    rhs = qs_div_pochhammer(pochhammer(c / a, n, target_order), c, n)
+    lhs, rhs = _chu_sides(a, c, n, target_order)
     return lhs.eq_up_to(rhs, target_order)
 
 
-def _div_infinite(
-    series: QSeries, params: tuple[QMonomial, ...], target_order: int
-) -> QSeries:
-    """Divide by the infinite products (p; q)_inf, p in ``params``, one
-    factor (1 - p q^k) at a time over the factors below the order."""
-    for param in params:
-        series = qs_div_pochhammer(series, param, max(0, target_order - param.q_exp))
-    return series
+def _transform_sides(
+    a: QMonomial,
+    b: QMonomial,
+    c: QMonomial,
+    d: QMonomial,
+    e: QMonomial,
+    target_order: int,
+) -> tuple[QSeries, QSeries]:
+    """Both sides of :func:`check_3phi2_transform`, prefactor included."""
+    lhs_spec = HypergeometricSpec((a, b, c), (d, e), (d * e) / (a * b * c))
+    lhs = eval_phi(lhs_spec, None, target_order)
+    rhs_spec = HypergeometricSpec(
+        (a, d / b, d / c), (d, (d * e) / (b * c)), e / a
+    )
+    series = eval_phi(rhs_spec, None, target_order)
+    # a Laurent partner series needs the prefactor known that much further
+    width = target_order - min(0, series.min_exp)
+    prefactor = qs_mul(
+        pochhammer_infinite(e / a, width),
+        pochhammer_infinite((d * e) / (b * c), width),
+    )
+    # divide out each (p; q)_inf one factor at a time, below the order
+    for param in (e, (d * e) / (a * b * c)):
+        prefactor = qs_div_pochhammer(prefactor, param, max(0, width - param.q_exp))
+    return lhs, qs_mul(prefactor, series)
 
 
 def check_3phi2_transform(
@@ -223,19 +252,7 @@ def check_3phi2_transform(
     argument e/a, multiplied by the infinite-product prefactor
     (e/a)_inf (de/(bc))_inf / ((e)_inf (de/(abc))_inf).
     """
-    lhs_spec = HypergeometricSpec((a, b, c), (d, e), (d * e) / (a * b * c))
-    lhs = eval_phi(lhs_spec, None, target_order)
-    rhs_spec = HypergeometricSpec(
-        (a, d / b, d / c), (d, (d * e) / (b * c)), e / a
-    )
-    series = eval_phi(rhs_spec, None, target_order)
-    width = target_order - min(0, series.min_exp)
-    numerator = qs_mul(
-        pochhammer_infinite(e / a, width),
-        pochhammer_infinite((d * e) / (b * c), width),
-    )
-    prefactor = _div_infinite(numerator, (e, (d * e) / (a * b * c)), width)
-    rhs = qs_mul(prefactor, series)
+    lhs, rhs = _transform_sides(a, b, c, d, e, target_order)
     return lhs.eq_up_to(rhs, target_order)
 
 
@@ -291,53 +308,31 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
         r += 1
     lines.append(("pochhammer_quotient_sum", total * _ONE_PLUS_Z))
 
-    # 3: prefactor (1+z) q (-zq)_t / ((1+zq) (q)_{t+1}) times the series
-    #    with numerator (q, q, -zq^{t+1}), denominator (-zq^2, q^{t+2}),
-    #    argument q; the prefactor is line 2's first term times (1+z)
+    # 3, 4: prefactor (1+z) q (-zq)_t / ((1+zq) (q)_{t+1}), line 2's first
+    #    term times (1+z), times each side of the transformation at
+    #    (q, q, -zq^{t+1}; -zq^2, q^{t+2}): the series with argument q, and
+    #    its terminating partner (q, -zq, q^{1-t}; -zq^2, q^2) with argument
+    #    q^{t+1} times (q^{t+1})_inf (q^2)_inf / ((q^{t+2})_inf (q)_inf)
     prefactor = first * _ONE_PLUS_Z
-    spec_3 = HypergeometricSpec(
-        (q1, q1, QMonomial(-1, 1, t + 1)),
-        (QMonomial(-1, 1, 2), QMonomial.q_power(t + 2)),
+    series_3, transformed = _transform_sides(
         q1,
+        q1,
+        QMonomial(-1, 1, t + 1),
+        QMonomial(-1, 1, 2),
+        QMonomial.q_power(t + 2),
+        order,
     )
-    lines.append(("series_3phi2", qs_mul(prefactor, eval_phi(spec_3, None, order))))
+    lines.append(("series_3phi2", qs_mul(prefactor, series_3)))
+    lines.append(("transformed_3phi2", qs_mul(prefactor, transformed)))
 
-    # 4: the transformed partner of line 3: an extra infinite-product
-    #    quotient and the terminating series with numerator
-    #    (q, -zq, q^{1-t}), denominator (-zq^2, q^2), argument q^{t+1}
-    inf_num = qs_mul(
-        pochhammer_infinite(QMonomial.q_power(t + 1), order),
-        pochhammer_infinite(QMonomial.q_power(2), order),
-    )
-    spec_4 = HypergeometricSpec(
-        (q1, neg_zq, QMonomial.q_power(1 - t)),
-        (QMonomial(-1, 1, 2), QMonomial.q_power(2)),
-        QMonomial.q_power(t + 1),
-    )
-    transformed = eval_phi(spec_4, None, order)
-    if transformed.min_exp < 0:
-        raise AssertionError("transformed series unexpectedly Laurent")
-    pref_4 = qs_mul(
-        prefactor, _div_infinite(inf_num, (QMonomial.q_power(t + 2), q1), order)
-    )
-    lines.append(("transformed_3phi2", qs_mul(pref_4, transformed)))
-
-    # 5: -(-zq)_t / ((1-q^t) (q)_t) times (series - 1) for the
-    #    terminating series with numerator (-z, q^{-t}), denominator
-    #    (-zq), argument q^{t+1}
+    # 5, 6: -(-zq)_t / ((1-q^t) (q)_t) times (side - 1) for each side of
+    #    q-Chu-Vandermonde at (-z, -zq, t): the terminating series with
+    #    numerator (-z, q^{-t}), denominator (-zq), argument q^{t+1}, and
+    #    its sum (q)_t / (-zq)_t
     neg_pref = qs_div_pochhammer(pochhammer(neg_zq, t, order), q1, t) * (-1)
     neg_pref = qs_div_one_minus(neg_pref, QMonomial.q_power(t))
-    spec_5 = HypergeometricSpec(
-        (QMonomial(-1, 1, 0), QMonomial.q_power(-t)),
-        (neg_zq,),
-        QMonomial.q_power(t + 1),
-    )
-    phi_5 = eval_phi(spec_5, t + 1, order)
-    lines.append(("series_2phi1", qs_mul(neg_pref, phi_5 - 1)))
-
-    # 6: line 5 with the series summed by q-Chu-Vandermonde to
-    #    (q)_t / (-zq)_t
-    summed = qs_div_pochhammer(pochhammer(q1, t, order), neg_zq, t)
+    series_5, summed = _chu_sides(QMonomial(-1, 1, 0), neg_zq, t, order)
+    lines.append(("series_2phi1", qs_mul(neg_pref, series_5 - 1)))
     lines.append(("chu_closed_form", qs_mul(neg_pref, summed - 1)))
 
     # 7: the closed product form

@@ -145,11 +145,6 @@ class ZLaurentPoly:
     def coefficient(self, z_exp: int) -> int:
         return self._terms.get(z_exp, 0)
 
-    def min_z_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no support")
-        return min(self._terms)
-
     def max_z_exp(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no support")
@@ -464,7 +459,9 @@ class QSeries:
         if isinstance(other, int):
             other = ZLaurentPoly.const(other)
         if isinstance(other, ZLaurentPoly):
-            # exact constants do not narrow the window
+            # exact constants do not narrow the window; past it they vanish
+            if self.order <= 0:
+                return QSeries.zero(self.order)
             return QSeries.from_terms({0: other}, self.order)
         return None
 

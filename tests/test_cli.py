@@ -9,6 +9,7 @@ import pytest
 
 import overgap.cli as cli
 from overgap.cli import main
+from overgap.partitions import Bipartition, iter_bounded_parts
 from overgap.qseries import QSeries, ZLaurentPoly, bounded_gap_overpartition_gf
 
 TABLE_T3 = """\
@@ -18,6 +19,30 @@ n  m=0  m=1  m=2
 3    3    4    1
 4    5    7    2
 5    7   11    4
+"""
+
+# the m=2 column is wider than its header, every other one is not
+TABLE_T6_N19 = """\
+ n  m=0  m=1   m=2  m=3  m=4  m=5
+ 1    1    1     0    0    0    0
+ 2    2    2     0    0    0    0
+ 3    3    4     1    0    0    0
+ 4    5    7     2    0    0    0
+ 5    7   12     5    0    0    0
+ 6   11   19     9    1    0    0
+ 7   15   30    17    2    0    0
+ 8   22   44    27    5    0    0
+ 9   29   64    45   10    0    0
+10   40   90    67   18    1    0
+11   51  125   102   30    2    0
+12   69  169   145   50    5    0
+13   86  227   208   76    9    0
+14  112  298   284  115   17    0
+15  139  388   391  168   27    1
+16  176  498   518  239   45    2
+17  214  634   689  332   67    4
+18  268  797   891  457  102    7
+19  321  996  1154  612  145   12
 """
 
 
@@ -34,6 +59,30 @@ def test_table_text(capsys):
     code, out, err = run(capsys, "table", "--t", "3", "--max-n", "5")
     assert code == 0 and err == ""
     assert out == TABLE_T3
+
+
+def test_table_text_column_widths(capsys):
+    code, out, err = run(capsys, "table", "--t", "6", "--max-n", "19")
+    assert code == 0 and err == ""
+    assert out == TABLE_T6_N19
+
+
+@pytest.mark.parametrize(
+    "z, counts", [("one", ["2", "4", "8", "14"]), ("zero", ["1", "2", "3", "5"])]
+)
+def test_table_json_untracked(capsys, z, counts):
+    code, out, err = run(
+        capsys, "table", "--t", "3", "--max-n", "4", "--z", z, "--format", "json"
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert list(payload) == ["t", "max_n", "z", "rows"]
+    assert payload == {
+        "t": 3,
+        "max_n": 4,
+        "z": z,
+        "rows": [{"n": n, "count": c} for n, c in enumerate(counts, start=1)],
+    }
 
 
 def test_table_check_passes(capsys):
@@ -241,6 +290,46 @@ def test_internal_error_exits_2_without_traceback(capsys, monkeypatch):
     assert err == "internal error: fold preimage produced a nonpositive part\n"
 
 
+@pytest.mark.parametrize("which", ["fold", "merge"])
+def test_preimages_budget_is_checked_before_the_fiber(capsys, monkeypatch, which):
+    def refuse(mu, t):
+        raise AssertionError("the fiber was built")
+
+    monkeypatch.setattr(cli, "fold_preimages", refuse)
+    monkeypatch.setattr(cli, "merge_preimages", refuse)
+    # m = 1000 copies of t and r = 1 other part: r + 2mr + m(m+1) parts
+    mu = ",".join(["3"] * 1000 + ["1"])
+    code, out, err = run(capsys, "preimages", "--t", "3", "--map", which, mu)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: the rendering has 1003001 parts, over the printing budget of 1000000\n"
+    )
+
+
+def test_preimages_budget_count_matches_the_built_fiber(capsys, monkeypatch):
+    # at a budget of 0 every rendering is refused with its part count
+    monkeypatch.setattr(cli, "_PRINT_BUDGET", 0)
+    for t in (1, 2, 3):
+        for n in range(1, 13):
+            for mu in iter_bounded_parts(t, n):
+                for which in ("fold", "merge"):
+                    build = cli.fold_preimages if which == "fold" else cli.merge_preimages
+                    printed = sum(
+                        (m.second if isinstance(m, Bipartition) else m).num_parts
+                        for m in build(mu, t).fiber
+                    )
+                    for fmt, parts in (("text", printed), ("json", printed + mu.num_parts)):
+                        code, out, err = run(
+                            capsys, "preimages", "--t", str(t), "--map", which,
+                            str(mu), "--format", fmt,
+                        )
+                        assert (code, out) == (1, "")
+                        assert err == (
+                            f"error: the rendering has {parts} parts, over the "
+                            f"printing budget of 0\n"
+                        ), (t, str(mu), which, fmt)
+
+
 def test_preimages_domain_error(capsys):
     code, _, err = run(capsys, "preimages", "--t", "3", "--map", "fold", "4,1")
     assert code == 1 and "error:" in err
@@ -257,6 +346,25 @@ def test_verify_single_suite(capsys):
     for entry in entries:
         assert list(entry) == ["suite", "t", "order", "pass", "details"]
         assert entry["suite"] == "chu" and entry["order"] == 12 and entry["pass"]
+
+
+def test_verify_details_name_the_parameters(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "chu", "--t", "1..3", "--order", "6")
+    assert code == 0
+    assert [entry["details"] for entry in json.loads(out)] == [
+        {"a": "-z", "c": "-z*q", "n": 1},
+        {"a": "-z", "c": "-z*q", "n": 2},
+        {"a": "-z", "c": "-z*q", "n": 3},
+    ]
+    code, out, _ = run(
+        capsys, "verify", "--suite", "transform", "--t", "1..3", "--order", "6"
+    )
+    assert code == 0
+    assert [entry["details"] for entry in json.loads(out)] == [
+        {"a": "q", "b": "q", "c": "-z*q^2", "d": "-z*q^2", "e": "q^3"},
+        {"a": "q", "b": "q", "c": "-z*q^3", "d": "-z*q^2", "e": "q^4"},
+        {"a": "q", "b": "q", "c": "-z*q^4", "d": "-z*q^2", "e": "q^5"},
+    ]
 
 
 def test_verify_all_small(capsys):

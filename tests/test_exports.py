@@ -1,6 +1,9 @@
 """Every exported name resolves, and the package exports what it re-exports."""
 
+import ast
 import importlib
+import pathlib
+import sys
 
 import pytest
 
@@ -27,3 +30,18 @@ def test_package_exports_exactly_its_re_exports():
         if getattr(overgap, attr, None) is getattr(module, attr)
     }
     assert set(overgap.__all__) == re_exported | {"__version__"}
+
+
+def test_package_imports_only_the_standard_library():
+    src = pathlib.Path(overgap.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"

@@ -800,9 +800,9 @@ def test_series_difference_is_signed_sum(a, b, c):
     assert_series_matches(difference, poly_add(poly_from_series(a), negated_b))
     assert a - a == QSeries.zero(a.order)
     if a.order <= 0:
-        # kept as before: coercing c to a series ending at or below q^0 fails
-        with pytest.raises(ValueError, match="at or past order"):
-            c - a
+        # the constant lies past the window, so it changes nothing
+        assert c - a == -a
+        assert a - c == a == a + c == c + a
         return
     assert c - a == -a + c
     assert_series_matches(
