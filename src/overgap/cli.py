@@ -8,8 +8,9 @@ suites.  Output is deterministic: identical invocations produce
 byte-identical text, and every JSON rendering uses a fixed key order.
 
 Exit codes are a stable contract: 0 on success, 1 on a usage or domain
-error, 2 when a requested cross-check or verification suite fails or an
-internal invariant breaks (reported as ``internal error: ...``).
+error (over-budget input and running out of memory included), 2 when a
+requested cross-check or verification suite fails or an internal
+invariant breaks (reported as ``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ _DEFAULT_FIBER_MAX_N = 12
 _SUITES = ("gf", "fibers", "chu", "transform", "chain")
 # Renderings write every copy of a part, so their size is the part count.
 _PRINT_BUDGET = 1_000_000
+# The series kernels skip every factor past the truncation window, so the
+# cost of `table` and of the chu, transform and chain suites follows the
+# window, the number of bounds in a `--t` range and the largest bound.
+# Each is checked before anything is built.
+_WINDOW_BUDGET = 2_000  # table --max-n, verify --order, OVERPART_DEFAULT_ORDER
+_BOUND_BUDGET = 2_000  # the largest bound in a verify --t range
+_RANGE_BUDGET = 100  # the number of bounds in a verify --t range
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,6 +75,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _window(text: str) -> int:
+    value = _positive_int(text)
+    if value > _WINDOW_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"{value} is over the window budget of {_WINDOW_BUDGET}"
+        )
+    return value
+
+
 def _t_range(text: str) -> list[int]:
     """Either a single bound like "3" or an inclusive range like "1..5"."""
     lo, sep, hi = text.partition("..")
@@ -79,6 +96,15 @@ def _t_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
     if low < 1 or high < low:
         raise argparse.ArgumentTypeError(f"bad bound range {text!r}")
+    if high > _BOUND_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"bound {high} is over the bound budget of {_BOUND_BUDGET}"
+        )
+    if high - low >= _RANGE_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} holds {high - low + 1} bounds, over the range budget of "
+            f"{_RANGE_BUDGET}"
+        )
     return list(range(low, high + 1))
 
 
@@ -92,6 +118,11 @@ def _default_order() -> int:
         raise ValueError(f"OVERPART_DEFAULT_ORDER is not an integer: {raw!r}")
     if value < 1:
         raise ValueError(f"OVERPART_DEFAULT_ORDER must be positive, got {value}")
+    if value > _WINDOW_BUDGET:
+        raise ValueError(
+            f"OVERPART_DEFAULT_ORDER {value} is over the window budget of "
+            f"{_WINDOW_BUDGET}"
+        )
     return value
 
 
@@ -341,7 +372,7 @@ def _build_parser() -> _Parser:
     )
     table.add_argument("--t", type=_positive_int, required=True, help="gap bound")
     table.add_argument(
-        "--max-n", type=_positive_int, required=True, help="largest weight shown"
+        "--max-n", type=_window, required=True, help="largest weight shown"
     )
     table.add_argument(
         "--z",
@@ -401,7 +432,7 @@ def _build_parser() -> _Parser:
     )
     verify.add_argument(
         "--order",
-        type=_positive_int,
+        type=_window,
         default=None,
         help="truncation order (default: $OVERPART_DEFAULT_ORDER or 30)",
     )
@@ -431,6 +462,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (InvalidPartition, NotInDomain, QSeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # Past the budgets a run can still outgrow the memory it is given.
+        print("error: out of memory", file=sys.stderr)
         return 1
     except AssertionError as exc:
         # A broken internal invariant: the result cannot be trusted, so

@@ -10,12 +10,13 @@ Evaluation walks the terms with exact ratio updates: multiplying by the
 new numerator factors (1 - a q^(n-1)) and dividing out the new
 denominator factors, one binomial at a time, keeps every intermediate a
 window-true :class:`~overgap.qseries.QSeries`, so the partial sum is
-exact to the requested order.  A parameter shared by numerator and
-denominator (q included, for the (q; q)_n factor) contributes the same
-factor to both and is skipped.  A numerator parameter
-q^(-k) (sign +1, no z) terminates the series after k + 1 terms; without
-one, the argument must carry a positive q-exponent so that later terms
-fall below the order.
+exact to the requested order.  The first term, 1, is known past q^0 and
+as far past the order as the lowest later term window falls below it.  A
+parameter shared by numerator and denominator (q included, for the
+(q; q)_n factor) contributes the same factor to both and is skipped.  A
+numerator parameter q^(-k) (sign +1, no z) terminates the series after
+k + 1 terms; without one, the argument must carry a positive q-exponent
+so that later terms fall below the order.
 
 The module also packages three verification routines: the classical
 q-Chu-Vandermonde summation, a three-parameter series transformation,
@@ -117,18 +118,14 @@ def _auto_terms(spec: HypergeometricSpec, target_order: int) -> int:
 
 
 def _window_slack(spec: HypergeometricSpec, terms: int) -> int:
-    """Total downward drift of the term windows over the whole sum."""
-    slack = 0
-    for param in spec.numerator:
-        for k in range(terms - 1):
-            drop = param.q_exp + k
-            if drop < 0:
-                slack -= drop
-    if spec.argument.q_exp < 0:
-        slack += (terms - 1) * -spec.argument.q_exp
-    shift = spec.exponent_shift
-    if shift < 0 and terms >= 2:
-        slack += (-shift) * (terms - 1) * (terms - 2) // 2
+    """How far the lowest term window sits below the first: term n's
+    window moves from term n-1's by its numerator factors' negative
+    q-exponents, the argument's and (n-1) times the exponent shift."""
+    drift = slack = 0
+    for n in range(1, terms):
+        drift += sum(min(0, p.q_exp + n - 1) for p in spec.numerator)
+        drift += spec.argument.q_exp + (n - 1) * spec.exponent_shift
+        slack = max(slack, -drift)
     return slack
 
 
@@ -150,7 +147,7 @@ def eval_phi(
         terms = _auto_terms(spec, target_order)
     if terms <= 0:
         return QSeries.zero(target_order)
-    term = QSeries.one(target_order + _window_slack(spec, terms))
+    term = QSeries.one(max(1, target_order + _window_slack(spec, terms)))
     shift = spec.exponent_shift
     arg = spec.argument
     total = term.truncate(target_order)
@@ -231,9 +228,9 @@ def _transform_sides(
         pochhammer_infinite(e / a, width),
         pochhammer_infinite((d * e) / (b * c), width),
     )
-    # divide out each (p; q)_inf one factor at a time, below the order
+    # divide out each (p; q)_inf one factor at a time, below the window
     for param in (e, (d * e) / (a * b * c)):
-        prefactor = qs_div_pochhammer(prefactor, param, max(0, width - param.q_exp))
+        prefactor = qs_div_pochhammer(prefactor, param, width)
     return lhs, qs_mul(prefactor, series)
 
 
@@ -286,11 +283,8 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
     acc = QSeries.zero(order)
     for r in range(1, order):
         summand = QSeries.from_terms({r: _ONE_PLUS_Z}, order)
-        for j in range(1, t):
-            summand = qs_mul_one_minus(summand, QMonomial(-1, 1, r + j))
-        for j in range(t + 1):
-            summand = qs_div_one_minus(summand, QMonomial.q_power(r + j))
-        acc = acc + summand
+        summand = qs_mul_pochhammer(summand, QMonomial(-1, 1, r + 1), t - 1)
+        acc = acc + qs_div_pochhammer(summand, QMonomial.q_power(r), t + 1)
     lines.append(("smallest_part_sum", acc))
 
     # 2: the same sum with the factors bundled into Pochhammer quotients:

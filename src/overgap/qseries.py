@@ -16,7 +16,10 @@ place and drops the coefficients that cancel.
 Pochhammer products and quotients are built one binomial factor at a
 time: :func:`qs_mul_one_minus` multiplies by ``(1 - a*q^k)`` and
 :func:`qs_div_one_minus` divides by it, each in one pass over the window
-that adds a shifted, signed row into each row.
+that adds a shifted, signed row into each row.  A factor whose
+q-exponent reaches the window's width changes nothing, so both kernels
+return their input and the Pochhammer loops stop before it: the cost
+follows the window, not the length of the product.
 Every other product runs through one kernel, :func:`qs_mul`, by Kronecker
 substitution: each operand's (q, z) grid is packed into one integer with
 a signed, byte-aligned digit per coefficient, and a single integer
@@ -576,17 +579,16 @@ class QSeries:
     def __str__(self) -> str:
         if self.is_zero():
             return f"0 + O(q^{self.order})"
-        bits = []
+        text = ""
         for exp, coeff in self.enumerate_terms():
-            inner = str(coeff)
-            if len(coeff._terms) > 1:
-                inner = f"({inner})"
-            if exp == 0:
-                bits.append(inner)
-            else:
+            inner = str(coeff) if len(coeff._terms) == 1 else f"({coeff})"
+            sign, inner = (" - ", inner[1:]) if inner[0] == "-" else (" + ", inner)
+            if exp:
                 power = "q" if exp == 1 else f"q^{exp}"
-                bits.append(power if inner == "1" else f"{inner}*{power}")
-        return " + ".join(bits) + f" + O(q^{self.order})"
+                inner = power if inner == "1" else f"{inner}*{power}"
+            text += sign + inner
+        lead = "-" if text.startswith(" - ") else ""
+        return lead + text[3:] + f" + O(q^{self.order})"
 
     def __repr__(self) -> str:
         return f"QSeries(min_exp={self.min_exp}, order={self.order}, <{len(self.coeffs)} coeffs>)"
@@ -785,16 +787,15 @@ def qs_div_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
 
     Uses the recurrence y_e = a_e + mono * y_(e - q_exp), which keeps the
     full window of ``a``; this is how geometric factors are divided out
-    without a general inversion.
+    without a general inversion.  A q-exponent at least the window's
+    width changes nothing, and ``a`` is returned.
     """
     step = mono.q_exp
     if step < 1:
-        raise DivergentProduct(
-            "qs_div_one_minus needs a factor with q_exp >= 1"
-        )
-    if a.is_zero():
-        return a
+        raise DivergentProduct("qs_div_one_minus needs a factor with q_exp >= 1")
     width = a.order - a.min_exp
+    if step >= width:
+        return a
     rows = [dict(row._terms) for row in a.coeffs]
     rows += [{} for _ in range(width - len(rows))]
     z_shift, z_sign = mono.z_exp, mono.sign
@@ -811,12 +812,13 @@ def qs_mul_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
     The result window is the one :func:`qs_mul_finite` gives for the
     factor [(0, 1), (mono.q_exp, -mono)]: the width of ``a``'s window,
     shifted by min(0, mono.q_exp).  Each output row is one input row plus
-    one shifted input row, so no general convolution runs.
+    one shifted input row, so no general convolution runs; a q-exponent
+    at least the window's width changes nothing, and ``a`` is returned.
     """
     step = mono.q_exp
+    if step >= a.order - a.min_exp:
+        return a
     shift = min(0, step)
-    if a.is_zero():
-        return QSeries.zero(a.order + shift)
     coeffs = a.coeffs
     # row i is coeffs[i - one_at] - mono * coeffs[i - mono_at]; one offset is 0
     one_at = -shift
@@ -838,8 +840,8 @@ def qs_mul_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
 
 
 def pochhammer_min_exp(a: QMonomial, n: int) -> int:
-    """Lowest possible q-exponent of the finite product (a; q)_n."""
-    return sum(min(0, a.q_exp + k) for k in range(n))
+    """Lowest possible q-exponent of (a; q)_n: its factors' negative ones."""
+    return sum(a.q_exp + k for k in range(min(n, -a.q_exp)))
 
 
 def pochhammer(a: QMonomial, n: int, target_order: int) -> QSeries:
@@ -861,23 +863,24 @@ def pochhammer_infinite(a: QMonomial, target_order: int) -> QSeries:
     """The infinite product (a; q)_inf truncated at ``target_order``.
 
     Converges coefficientwise only when a.q_exp >= 1; factors whose
-    q-exponent reaches the order contribute nothing below it, so this is
-    the finite product of the factors below the order.
+    q-exponent reaches the order contribute nothing below it, and
+    :func:`qs_mul_pochhammer` skips them.
     """
     if a.q_exp < 1:
         raise DivergentProduct(
             f"(a; q)_inf needs a.q_exp >= 1 for coefficientwise convergence, got {a.q_exp}"
         )
-    return pochhammer(a, max(0, target_order - a.q_exp), target_order)
+    return pochhammer(a, max(0, target_order), target_order)
 
 
 def qs_mul_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
     """Multiply by (b; q)_n one factor (1 - b*q^k) at a time.
 
     Each factor with a negative q-exponent lowers the window by that much,
-    as in :func:`qs_mul_one_minus`.
+    as in :func:`qs_mul_one_minus`.  The window never widens, so the
+    factors whose q-exponent reaches its width are skipped.
     """
-    for k in range(n):
+    for k in range(min(n, a.order - a.min_exp - b.q_exp)):
         a = qs_mul_one_minus(a, b * QMonomial.q_power(k))
     return a
 
@@ -885,9 +888,12 @@ def qs_mul_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
 def qs_div_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
     """Divide by (b; q)_n one factor (1 - b*q^k) at a time.
 
-    Needs b.q_exp >= 1; keeps the window of ``a``.
+    Needs b.q_exp >= 1; keeps the window of ``a``, and skips the factors
+    whose q-exponent reaches its width.
     """
-    for k in range(n):
+    if n > 0 and b.q_exp < 1:
+        raise DivergentProduct("qs_div_one_minus needs a factor with q_exp >= 1")
+    for k in range(min(n, a.order - a.min_exp - b.q_exp)):
         a = qs_div_one_minus(a, b * QMonomial.q_power(k))
     return a
 

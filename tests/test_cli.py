@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -412,6 +413,68 @@ def test_verify_order_one(capsys, suite):
 def test_verify_bad_range(capsys):
     assert run(capsys, "verify", "--t", "5..1")[0] == 1
     assert run(capsys, "verify", "--t", "x")[0] == 1
+
+
+def test_over_budget_range_is_refused_without_a_list(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--t", "1..1000000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert f"over the bound budget of {cli._BOUND_BUDGET}" in err
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (("table", "--t", "3", "--max-n", str(cli._WINDOW_BUDGET + 1)), "window"),
+        (("verify", "--order", str(cli._WINDOW_BUDGET + 1)), "window"),
+        (("verify", "--suite", "chu", "--t", str(cli._BOUND_BUDGET + 1)), "bound"),
+        (("verify", "--suite", "chu", "--t", f"1..{cli._RANGE_BUDGET + 1}"), "range"),
+    ],
+)
+def test_over_budget_input_exits_1(capsys, monkeypatch, argv, budget):
+    def refuse(args):
+        raise AssertionError("a command ran on an over-budget input")
+
+    monkeypatch.setattr(cli, "_cmd_table", refuse)
+    monkeypatch.setattr(cli, "_cmd_verify", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"over the {budget} budget" in err
+
+
+def test_env_default_order_has_the_window_budget(capsys, monkeypatch):
+    monkeypatch.setenv("OVERPART_DEFAULT_ORDER", str(cli._WINDOW_BUDGET + 1))
+    code, out, err = run(capsys, "verify", "--suite", "chu", "--t", "1")
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: OVERPART_DEFAULT_ORDER {cli._WINDOW_BUDGET + 1} is over the "
+        f"window budget of {cli._WINDOW_BUDGET}\n"
+    )
+
+
+def test_inputs_at_the_budgets_run(capsys):
+    top = str(cli._WINDOW_BUDGET)
+    code, out, _ = run(capsys, "table", "--t", "5", "--max-n", top, "--z", "zero")
+    assert code == 0 and out.splitlines()[-1].split()[0] == top
+    for bounds, count in ((f"1..{cli._RANGE_BUDGET}", cli._RANGE_BUDGET),
+                          (str(cli._BOUND_BUDGET), 1)):
+        code, out, _ = run(capsys, "verify", "--suite", "chu", "--t", bounds,
+                           "--order", "1")
+        assert code == 0 and len(json.loads(out)) == count
+
+
+def test_memory_error_exits_1_without_traceback(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "bounded_gap_overpartition_gf", exhausted)
+    code, out, err = run(capsys, "table", "--t", "3", "--max-n", "5")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 # -- shared behavior -----------------------------------------------------------

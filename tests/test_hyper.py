@@ -400,6 +400,82 @@ def test_laurent_spec_is_laurent():
     assert hyper._window_slack(spec, 10) > 0
 
 
+def summed_window_slack(spec, terms):
+    """An upper bound on the drift of the term windows: every downward
+    move added up, the argument's upward shift ignored."""
+    slack = 0
+    for param in spec.numerator:
+        for k in range(terms - 1):
+            drop = param.q_exp + k
+            if drop < 0:
+                slack -= drop
+    if spec.argument.q_exp < 0:
+        slack += (terms - 1) * -spec.argument.q_exp
+    shift = spec.exponent_shift
+    if shift < 0 and terms >= 2:
+        slack += (-shift) * (terms - 1) * (terms - 2) // 2
+    return slack
+
+
+@pytest.mark.parametrize("t", range(1, 51))
+def test_chu_terms_never_fall_below_the_first_window(t):
+    # term n of the chu series has lowest exponent n(n+1)/2 > 0: the
+    # argument q^(t+1) lifts it by more than the factors (1 - q^(k-t)) drop it
+    spec = HypergeometricSpec((NEG_Z, Q(-t)), (NEG_ZQ,), Q(t + 1))
+    assert hyper._window_slack(spec, t + 1) == 0
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_eval_phi_is_independent_of_the_first_window(monkeypatch, t):
+    # the summed bound widens the chu spec's first window by t(t+1)/2
+    spec, terms = identity_specs(t)[0]
+    assert hyper._window_slack(spec, terms) < summed_window_slack(spec, terms)
+    exact, wide = {}, {}
+    for spec, terms in identity_specs(t):
+        for order in (-1, 0, 1, 2, 7, 40, 100):
+            exact[spec, order] = eval_phi(spec, terms, order)
+            count = terms if terms is not None else hyper._auto_terms(spec, order)
+            assert hyper._window_slack(spec, count) <= summed_window_slack(spec, count)
+    monkeypatch.setattr(hyper, "_window_slack", summed_window_slack)
+    for spec, terms in identity_specs(t):
+        for order in (-1, 0, 1, 2, 7, 40, 100):
+            wide[spec, order] = eval_phi(spec, terms, order)
+    assert wide == exact
+
+
+def widest_binomial_window(monkeypatch, check):
+    """The widest input window any binomial kernel sees while ``check`` runs."""
+    widths = [0]
+    for name in ("qs_mul_one_minus", "qs_div_one_minus"):
+        kernel = getattr(qseries, name)
+
+        def wrapped(a, mono, kernel=kernel):
+            widths.append(a.order - a.min_exp)
+            return kernel(a, mono)
+
+        monkeypatch.setattr(qseries, name, wrapped)
+        monkeypatch.setattr(hyper, name, wrapped)
+    assert check()
+    return max(widths)
+
+
+def test_chu_binomial_windows_stay_at_the_order(monkeypatch):
+    def check():
+        return check_q_chu_vandermonde(NEG_Z, NEG_ZQ, 20, 10)
+
+    assert widest_binomial_window(monkeypatch, check) <= 10
+
+
+def test_transform_binomial_windows_stay_at_the_order(monkeypatch):
+    # the chain's parameters at t = 20: (q, q, -zq^21; -zq^2, q^22)
+    def check():
+        return check_3phi2_transform(
+            Q(1), Q(1), QMonomial(-1, 1, 21), QMonomial(-1, 1, 2), Q(22), 10
+        )
+
+    assert widest_binomial_window(monkeypatch, check) <= 10
+
+
 def test_library_paths_never_invert(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("general inverse called")

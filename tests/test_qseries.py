@@ -359,6 +359,61 @@ def test_infinite_product_divergence():
         pochhammer_infinite(QMonomial(1, 0, -1), 5)
 
 
+def count_kernel_calls(monkeypatch, name):
+    """Wrap one binomial kernel in qseries; the list collects its calls."""
+    calls, kernel = [], getattr(qseries, name)
+
+    def counted(a, mono):
+        calls.append(mono)
+        return kernel(a, mono)
+
+    monkeypatch.setattr(qseries, name, counted)
+    return calls
+
+
+WINDOW_5 = QSeries.from_terms({2: zp({0: 1, 1: 2}), 4: -3, 6: zp({-1: 1})}, 7)
+
+
+@pytest.mark.parametrize("q_exp", [-2, 1, 2, 3, 4, 5, 6])
+def test_mul_pochhammer_stops_at_the_window(monkeypatch, q_exp):
+    # the window [2, 7) is 5 wide and never widens, so only the factors
+    # (1 - b q^k) with b.q_exp + k < 5 can change the series
+    b = QMonomial(-1, 1, q_exp)
+    calls = count_kernel_calls(monkeypatch, "qs_mul_one_minus")
+    result = qseries.qs_mul_pochhammer(WINDOW_5, b, 10**4)
+    assert len(calls) == max(0, 5 - q_exp)
+    expected = WINDOW_5
+    for k in range(len(calls)):
+        expected = qs_mul_one_minus(expected, b * QMonomial.q_power(k))
+    assert result == expected
+
+
+@pytest.mark.parametrize("q_exp", [1, 2, 3, 4, 5, 6])
+def test_div_pochhammer_stops_at_the_window(monkeypatch, q_exp):
+    b = QMonomial(-1, 1, q_exp)
+    calls = count_kernel_calls(monkeypatch, "qs_div_one_minus")
+    result = qseries.qs_div_pochhammer(WINDOW_5, b, 10**4)
+    assert len(calls) == max(0, 5 - q_exp)
+    expected = WINDOW_5
+    for k in range(len(calls)):
+        expected = qs_div_one_minus(expected, b * QMonomial.q_power(k))
+    assert result == expected
+
+
+def test_binomial_kernels_past_the_window_return_the_input():
+    for step in (5, 6, 40):
+        mono = QMonomial(-1, 1, step)
+        assert qs_mul_one_minus(WINDOW_5, mono) is WINDOW_5
+        assert qs_div_one_minus(WINDOW_5, mono) is WINDOW_5
+
+
+def test_div_pochhammer_rejects_divergent_factor_on_empty_window():
+    with pytest.raises(DivergentProduct):
+        qseries.qs_div_pochhammer(QSeries.zero(5), QMonomial(1, 0, 0), 3)
+    empty = QSeries.zero(5)
+    assert qseries.qs_div_pochhammer(empty, QMonomial(1, 0, 0), 0) == empty
+
+
 # -- the closed-form builders -------------------------------------------
 
 
@@ -436,6 +491,12 @@ def test_str_rendering():
     assert str(QSeries.from_terms({1: zp({0: 1, 1: 1})}, 2)) == "(z + 1)*q + O(q^2)"
     assert str(QSeries.zero(4)) == "0 + O(q^4)"
     assert str(QSeries.from_terms({-1: zp({2: -3})}, 2)) == "-3*z^2*q^-1 + O(q^2)"
+
+
+def test_str_pulls_the_sign_out_of_single_terms():
+    assert str(QSeries.one(4) - QSeries.from_terms({1: 1}, 4)) == "1 - q + O(q^4)"
+    series = QSeries.from_terms({1: -1, 2: zp({1: -2}), 3: zp({0: -1, 1: 1})}, 5)
+    assert str(series) == "-q - 2*z*q^2 + (z - 1)*q^3 + O(q^5)"
 
 
 # -- randomized ring checks ----------------------------------------------
