@@ -133,8 +133,13 @@ def _emit(text: str, output_path: str | None) -> None:
         # main() can turn it into a quiet exit, not at interpreter shutdown.
         sys.stdout.flush()
     else:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(
+                f"cannot write {output_path}: {exc.strerror or exc}"
+            ) from exc
 
 
 def _check_print_budget(parts: int) -> None:
@@ -187,18 +192,15 @@ def _cmd_table(args) -> int:
             )
             return 2
     tracked = args.z == "tracked"
+    polys = [series.coeff(n) for n in range(1, max_n + 1)]
     columns = [0]
     if tracked:
-        mark_max = 0
-        for n in range(1, max_n + 1):
-            poly = series.coeff(n)
-            if not poly.is_zero():
-                mark_max = max(mark_max, poly.max_z_exp())
+        mark_max = max([0] + [poly.max_z_exp() for poly in polys if poly])
         columns = list(range(mark_max + 1))
-    rows = []
-    for n in range(1, max_n + 1):
-        poly = series.coeff(n)
-        rows.append([str(n)] + [str(poly.coefficient(m)) for m in columns])
+    rows = [
+        [str(n)] + [str(poly.coefficient(m)) for m in columns]
+        for n, poly in enumerate(polys, 1)
+    ]
     if args.format == "json":
         payload = {"t": t, "max_n": max_n, "z": args.z}
         if tracked:

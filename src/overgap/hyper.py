@@ -10,13 +10,15 @@ Evaluation walks the terms with exact ratio updates: multiplying by the
 new numerator factors (1 - a q^(n-1)) and dividing out the new
 denominator factors, one binomial at a time, keeps every intermediate a
 window-true :class:`~overgap.qseries.QSeries`, so the partial sum is
-exact to the requested order.  The first term, 1, is known past q^0 and
-as far past the order as the lowest later term window falls below it.  A
-parameter shared by numerator and denominator (q included, for the
-(q; q)_n factor) contributes the same factor to both and is skipped.  A
-numerator parameter q^(-k) (sign +1, no z) terminates the series after
-k + 1 terms; without one, the argument must carry a positive q-exponent
-so that later terms fall below the order.
+exact to the requested order.  Each term is kept past the order only as
+far as the lowest window of the terms after it falls below its own, so
+no pass computes a coefficient that no later term reads, and the walk
+stops at the first term that is zero on its window.  A parameter shared
+by numerator and denominator (q included, for the (q; q)_n factor)
+contributes the same factor to both and is skipped.  A numerator
+parameter q^(-k) (sign +1, no z) terminates the series after k + 1
+terms; without one, the argument must carry a positive q-exponent so
+that later terms fall below the order.
 
 The module also packages three verification routines: the classical
 q-Chu-Vandermonde summation, a three-parameter series transformation,
@@ -25,14 +27,16 @@ the bounded-gap generating function to its closed form.  Chain lines 3-4
 are the two sides of the transformation at (q, q, -zq^(t+1); -zq^2,
 q^(t+2)) and lines 5-6 the two sides of q-Chu-Vandermonde at (-z, -zq,
 t), each times its prefactor; the chain and the two checks compute those
-sides with the same code.  Every Pochhammer quotient, finite or
-infinite, is divided out one factor at a time; no general inverse is
-taken.
+sides with the same code.  Chain line 2 walks its running term by the
+same rule: no later term reads it past the order.  Every Pochhammer
+quotient, finite or infinite, is divided out one factor at a time; no
+general inverse is taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .qseries import (
@@ -117,16 +121,20 @@ def _auto_terms(spec: HypergeometricSpec, target_order: int) -> int:
     return max(0, target_order + slack)
 
 
-def _window_slack(spec: HypergeometricSpec, terms: int) -> int:
-    """How far the lowest term window sits below the first: term n's
-    window moves from term n-1's by its numerator factors' negative
-    q-exponents, the argument's and (n-1) times the exponent shift."""
-    drift = slack = 0
-    for n in range(1, terms):
-        drift += sum(min(0, p.q_exp + n - 1) for p in spec.numerator)
-        drift += spec.argument.q_exp + (n - 1) * spec.exponent_shift
-        slack = max(slack, -drift)
-    return slack
+def _term_reach(spec: HypergeometricSpec, terms: int) -> list[int]:
+    """How far past the order each term is kept.  Term n's window moves
+    from term n-1's by its numerator factors' negative q-exponents, the
+    argument's and (n-1) times the exponent shift; the terms after n read
+    it only as far as the lowest of their windows falls below its own."""
+    steps = (
+        sum(min(0, p.q_exp + n - 1) for p in spec.numerator)
+        + spec.argument.q_exp
+        + (n - 1) * spec.exponent_shift
+        for n in range(1, terms)
+    )
+    drifts = list(accumulate(steps, initial=0))
+    lows = list(accumulate(reversed(drifts), min))[::-1]
+    return [drift - low for drift, low in zip(drifts, lows)]
 
 
 def eval_phi(
@@ -147,7 +155,8 @@ def eval_phi(
         terms = _auto_terms(spec, target_order)
     if terms <= 0:
         return QSeries.zero(target_order)
-    term = QSeries.one(max(1, target_order + _window_slack(spec, terms)))
+    reach = _term_reach(spec, terms)
+    term = QSeries.one(max(1, target_order + reach[0]))
     shift = spec.exponent_shift
     arg = spec.argument
     total = term.truncate(target_order)
@@ -171,10 +180,11 @@ def eval_phi(
                 term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
             )
         term = term * (arg * QMonomial(-1 if shift % 2 else 1, 0, (n - 1) * shift))
+        if term.order < target_order + reach[n]:
+            raise AssertionError("hypergeometric window accounting failed")
+        term = term.truncate(target_order + reach[n])
         if term.is_zero():
             break
-        if term.order < target_order:
-            raise AssertionError("hypergeometric window accounting failed")
         total = total + term.truncate(target_order)
     return total
 
@@ -293,9 +303,11 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
     term = first = qs_div_one_minus(first, neg_zq)
     total = QSeries.zero(order)
     r = 1
-    while r < order and not term.is_zero():
-        total = total + term.truncate(order)
-        term = qs_mul_finite(term, [(1, _ONE), (r + 1, _MINUS_ONE)])
+    while not term.is_zero():
+        total = total + term
+        # q (1 - q^r) lifts the window by one, and nothing reads past the
+        # order; cut there, the term is zero after order - 1 steps
+        term = qs_mul_finite(term, [(1, _ONE), (r + 1, _MINUS_ONE)]).truncate(order)
         term = qs_mul_one_minus(term, QMonomial(-1, 1, r + t))
         term = qs_div_one_minus(term, QMonomial.q_power(r + t + 1))
         term = qs_div_one_minus(term, QMonomial(-1, 1, r + 1))

@@ -184,6 +184,14 @@ def _require_bounded_parts(mu: Overpartition, t: int) -> None:
         raise NotInDomain(f"{mu} is not in the bounded-parts family for t={t}: {reason}")
 
 
+def _preimage_report(mu: Overpartition, t: int, fiber: list) -> PreimageReport:
+    """The fiber with its mark census: members with the image's number of
+    marks, and members with one more."""
+    marks = [member.num_marked for member in fiber]
+    base = mu.num_marked
+    return PreimageReport(mu, t, tuple(fiber), marks.count(base), marks.count(base + 1))
+
+
 def fold_preimages(mu: Overpartition, t: int) -> PreimageReport:
     """Every bounded-gap overpartition folding onto ``mu``.
 
@@ -229,10 +237,7 @@ def fold_preimages(mu: Overpartition, t: int) -> PreimageReport:
             part, mult, _ = runs[last]
             runs[last] = (part, mult, True)
             fiber.append(Overpartition(runs))
-    base_marks = mu.num_marked
-    same = sum(1 for member in fiber if member.num_marked == base_marks)
-    extra = sum(1 for member in fiber if member.num_marked == base_marks + 1)
-    return PreimageReport(mu, t, tuple(fiber), same, extra)
+    return _preimage_report(mu, t, fiber)
 
 
 def merge_preimages(mu: Overpartition, t: int) -> PreimageReport:
@@ -251,10 +256,7 @@ def merge_preimages(mu: Overpartition, t: int) -> PreimageReport:
         for marked in (False, True):
             second = Overpartition([(t, in_second, marked)] + rest)
             fiber.append(Bipartition(t, m - in_second, second))
-    base_marks = mu.num_marked
-    same = sum(1 for member in fiber if member.num_marked == base_marks)
-    extra = sum(1 for member in fiber if member.num_marked == base_marks + 1)
-    return PreimageReport(mu, t, tuple(fiber), same, extra)
+    return _preimage_report(mu, t, fiber)
 
 
 @dataclass(frozen=True)

@@ -497,6 +497,25 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--t", "3", "--max-n", "5"),
+        ("verify", "--suite", "chu", "--t", "2", "--order", "6"),
+        ("preimages", "--t", "3", "--map", "fold", "3,3,1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/out.txt", "No such file or directory"), (".", "Is a directory")],
+)
+def test_unwritable_output_exits_1(tmp_path, capsys, argv, target, reason):
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
 def test_invocations_are_deterministic(capsys):
     first = run(capsys, "verify", "--suite", "chain", "--t", "2", "--order", "14")
     second = run(capsys, "verify", "--suite", "chain", "--t", "2", "--order", "14")

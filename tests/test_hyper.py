@@ -345,7 +345,7 @@ def legacy_eval_phi(spec, terms, target_order):
         terms = hyper._auto_terms(spec, target_order)
     if terms <= 0:
         return QSeries.zero(target_order)
-    term = QSeries.one(target_order + hyper._window_slack(spec, terms))
+    term = QSeries.one(max(1, target_order + hyper._term_reach(spec, terms)[0]))
     shift = spec.exponent_shift
     arg = spec.argument
     total = term.truncate(target_order)
@@ -387,17 +387,30 @@ def identity_specs(t):
     ]
 
 
+def shifted_specs(t):
+    """Series whose (-1)^n q^(n(n-1)/2) factor has exponent shift -1 or +1:
+    a terminating one whose argument lifts each term by less than the
+    shift lowers it once n passes 25, a terminating one with a Laurent
+    argument, and a convergent one whose second term reaches below q^0."""
+    return [
+        (HypergeometricSpec((NEG_Z, Q(-t), QMonomial(1, 1, 2)), (NEG_ZQ,), Q(24)), None),
+        (HypergeometricSpec((Q(-t), NEG_Z), (NEG_ZQ, Q(2)), QMonomial(1, 1, -1)), None),
+        (HypergeometricSpec((QMonomial(-1, 1, -2),), (Q(2),), Q(1)), None),
+    ]
+
+
 @pytest.mark.parametrize("t", range(1, 13))
 def test_eval_phi_cancellation_keeps_every_term(t):
-    for spec, terms in identity_specs(t):
-        for order in (1, 2, 7, 40, 100):
-            assert eval_phi(spec, terms, order) == legacy_eval_phi(spec, terms, order)
+    for spec, own in identity_specs(t) + shifted_specs(t):
+        for terms in dict.fromkeys((own, None, 3, 50)):
+            for order in (-1, 0, 1, 2, 7, 40, 100):
+                assert eval_phi(spec, terms, order) == legacy_eval_phi(spec, terms, order)
 
 
 def test_laurent_spec_is_laurent():
     # the last identity spec reaches below q^0, so its windows do drift
     spec, _ = identity_specs(4)[-1]
-    assert hyper._window_slack(spec, 10) > 0
+    assert hyper._term_reach(spec, 10)[0] > 0
 
 
 def summed_window_slack(spec, terms):
@@ -422,41 +435,52 @@ def test_chu_terms_never_fall_below_the_first_window(t):
     # term n of the chu series has lowest exponent n(n+1)/2 > 0: the
     # argument q^(t+1) lifts it by more than the factors (1 - q^(k-t)) drop it
     spec = HypergeometricSpec((NEG_Z, Q(-t)), (NEG_ZQ,), Q(t + 1))
-    assert hyper._window_slack(spec, t + 1) == 0
+    assert hyper._term_reach(spec, t + 1)[0] == 0
 
 
 @pytest.mark.parametrize("t", range(1, 13))
 def test_eval_phi_is_independent_of_the_first_window(monkeypatch, t):
     # the summed bound widens the chu spec's first window by t(t+1)/2
     spec, terms = identity_specs(t)[0]
-    assert hyper._window_slack(spec, terms) < summed_window_slack(spec, terms)
+    assert hyper._term_reach(spec, terms)[0] < summed_window_slack(spec, terms)
     exact, wide = {}, {}
     for spec, terms in identity_specs(t):
         for order in (-1, 0, 1, 2, 7, 40, 100):
             exact[spec, order] = eval_phi(spec, terms, order)
             count = terms if terms is not None else hyper._auto_terms(spec, order)
-            assert hyper._window_slack(spec, count) <= summed_window_slack(spec, count)
-    monkeypatch.setattr(hyper, "_window_slack", summed_window_slack)
+            assert hyper._term_reach(spec, count)[0] <= summed_window_slack(spec, count)
+    term_reach = hyper._term_reach
+
+    def widened_reach(spec, terms):
+        return [reach + summed_window_slack(spec, terms) for reach in term_reach(spec, terms)]
+
+    monkeypatch.setattr(hyper, "_term_reach", widened_reach)
     for spec, terms in identity_specs(t):
         for order in (-1, 0, 1, 2, 7, 40, 100):
             wide[spec, order] = eval_phi(spec, terms, order)
     assert wide == exact
 
 
-def widest_binomial_window(monkeypatch, check):
-    """The widest input window any binomial kernel sees while ``check`` runs."""
-    widths = [0]
+def binomial_windows(monkeypatch, check):
+    """The (order, width) of every input window a binomial kernel sees
+    while ``check`` runs."""
+    windows = []
     for name in ("qs_mul_one_minus", "qs_div_one_minus"):
         kernel = getattr(qseries, name)
 
         def wrapped(a, mono, kernel=kernel):
-            widths.append(a.order - a.min_exp)
+            windows.append((a.order, a.order - a.min_exp))
             return kernel(a, mono)
 
         monkeypatch.setattr(qseries, name, wrapped)
         monkeypatch.setattr(hyper, name, wrapped)
     assert check()
-    return max(widths)
+    return windows
+
+
+def widest_binomial_window(monkeypatch, check):
+    """The widest input window any binomial kernel sees while ``check`` runs."""
+    return max((width for _, width in binomial_windows(monkeypatch, check)), default=0)
 
 
 def test_chu_binomial_windows_stay_at_the_order(monkeypatch):
@@ -474,6 +498,28 @@ def test_transform_binomial_windows_stay_at_the_order(monkeypatch):
         )
 
     assert widest_binomial_window(monkeypatch, check) <= 10
+
+
+@pytest.mark.parametrize("suite", ["chu", "transform", "chain"])
+@pytest.mark.parametrize("t, order", [(3, 40), (3, 100), (12, 40), (12, 100)])
+def test_binomial_inputs_stay_within_the_order(monkeypatch, suite, t, order):
+    # every running term is kept only as far as a later term or the sum reads it
+    params = (Q(1), Q(1), QMonomial(-1, 1, t + 1), QMonomial(-1, 1, 2), Q(t + 2))
+    check = {
+        "chu": lambda: check_q_chu_vandermonde(NEG_Z, NEG_ZQ, t, order),
+        "transform": lambda: check_3phi2_transform(*params, order),
+        "chain": lambda: verify_identity_chain(t, order).passed,
+    }[suite]
+    assert max(top for top, _ in binomial_windows(monkeypatch, check)) <= order
+
+
+def test_chu_walk_stops_at_the_first_term_past_the_order(monkeypatch):
+    # term n starts at q^(n(n+1)/2), so at order 5 only three of the 2001
+    # terms reach the window
+    def check():
+        return check_q_chu_vandermonde(NEG_Z, NEG_ZQ, 2000, 5)
+
+    assert len(binomial_windows(monkeypatch, check)) <= 20
 
 
 def test_library_paths_never_invert(monkeypatch, capsys):
