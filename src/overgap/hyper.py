@@ -153,6 +153,10 @@ def eval_phi(
             )
     if terms is None:
         terms = _auto_terms(spec, target_order)
+    index = spec.termination_index()
+    if index is not None:
+        # the terms past the termination index are zero: no window follows them
+        terms = min(terms, index + 1)
     if terms <= 0:
         return QSeries.zero(target_order)
     reach = _term_reach(spec, terms)
@@ -349,6 +353,18 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
 class LineCheck(NamedTuple):
     label: str
     equal_to_previous: bool
+    # (q_exp, z_exp, this line's coefficient, the previous line's) at the
+    # first coefficient where the two differ
+    first_difference: tuple[int, int, int, int] | None = None
+
+    def to_json_dict(self) -> dict:
+        entry = {"label": self.label, "equal_to_previous": self.equal_to_previous}
+        if self.first_difference is not None:
+            q_exp, z_exp, value, previous = self.first_difference
+            entry["first_difference"] = {
+                "q": q_exp, "z": z_exp, "line": str(value), "previous": str(previous)
+            }
+        return entry
 
 
 @dataclass(frozen=True)
@@ -365,10 +381,7 @@ class ChainReport:
         return {
             "t": self.t,
             "order": self.order,
-            "lines": [
-                {"label": line.label, "equal_to_previous": line.equal_to_previous}
-                for line in self.lines
-            ],
+            "lines": [line.to_json_dict() for line in self.lines],
             "pass": self.passed,
         }
 
@@ -382,7 +395,9 @@ def compare_lines(
     """Pairwise equality of consecutive chain lines up to ``order``.
 
     With ``z_mode`` "zero" or "one" the marking variable is specialised
-    in every line before comparing; the first line is vacuously true.
+    in every line before comparing; the first line is vacuously true.  A
+    line that differs from the previous one carries the first coefficient
+    where they differ.
     """
     if z_mode not in _Z_MODES:
         raise ValueError(f"z_mode must be one of {_Z_MODES}")
@@ -393,9 +408,8 @@ def compare_lines(
         values = [series.subs_z(z_value) for _, series in lines]
     checks = [LineCheck(lines[0][0], True)]
     for i in range(1, len(lines)):
-        checks.append(
-            LineCheck(lines[i][0], values[i].eq_up_to(values[i - 1], order))
-        )
+        diff = values[i].first_difference(values[i - 1], order)
+        checks.append(LineCheck(lines[i][0], diff is None, diff))
     passed = all(check.equal_to_previous for check in checks)
     return ChainReport(t, order, z_mode, tuple(checks), passed)
 

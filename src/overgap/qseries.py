@@ -9,16 +9,16 @@ the operands justify, so "equal up to order N" is always a statement
 about coefficients that are actually known.
 
 Every merge of z-term maps, in sums, differences, ``ZLaurentPoly``
-products and the binomial kernels alike, goes through one loop,
+products and Pochhammer passes alike, goes through one loop,
 ``_add_into``, which adds a scaled, z-shifted term map into a row in
 place and drops the coefficients that cancel.
 
-Pochhammer products and quotients are built one binomial factor at a
-time: :func:`qs_mul_one_minus` multiplies by ``(1 - a*q^k)`` and
-:func:`qs_div_one_minus` divides by it, each in one pass over the window
-that adds a shifted, signed row into each row.  A factor whose
-q-exponent reaches the window's width changes nothing, so both kernels
-return their input and the Pochhammer loops stop before it: the cost
+A Pochhammer product or quotient (:func:`qs_mul_pochhammer`,
+:func:`qs_div_pochhammer`) copies the rows once and makes one in-place
+pass over them per factor ``(1 - a*q^k)``, adding a shifted, signed row
+into each row; the binomial kernels :func:`qs_mul_one_minus` and
+:func:`qs_div_one_minus` are its n = 1 case.  A factor whose q-exponent
+reaches the window's width changes nothing and is skipped: the cost
 follows the window, not the length of the product.
 Every other product runs through one kernel, :func:`qs_mul`, by Kronecker
 substitution: each operand's (q, z) grid is packed into one integer with
@@ -783,57 +783,16 @@ def qs_invert(a: QSeries, target_order: int) -> QSeries:
 
 
 def qs_div_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
-    """Divide by (1 - mono) where mono has positive q-exponent.
-
-    Uses the recurrence y_e = a_e + mono * y_(e - q_exp), which keeps the
-    full window of ``a``; this is how geometric factors are divided out
-    without a general inversion.  A q-exponent at least the window's
-    width changes nothing, and ``a`` is returned.
-    """
-    step = mono.q_exp
-    if step < 1:
-        raise DivergentProduct("qs_div_one_minus needs a factor with q_exp >= 1")
-    width = a.order - a.min_exp
-    if step >= width:
-        return a
-    rows = [dict(row._terms) for row in a.coeffs]
-    rows += [{} for _ in range(width - len(rows))]
-    z_shift, z_sign = mono.z_exp, mono.sign
-    for i in range(step, width):
-        prev = rows[i - step]
-        if prev:
-            _add_into(rows[i], prev, z_shift, z_sign)
-    return QSeries(a.min_exp, [ZLaurentPoly._make(r) for r in rows], a.order)
+    """Divide by (1 - mono), mono.q_exp >= 1: (mono; q)_1, keeping the window."""
+    return qs_div_pochhammer(a, mono, 1)
 
 
 def qs_mul_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
-    """Multiply by (1 - mono), for a q-exponent of any sign.
+    """Multiply by (1 - mono), for a q-exponent of any sign: (mono; q)_1.
 
-    The result window is the one :func:`qs_mul_finite` gives for the
-    factor [(0, 1), (mono.q_exp, -mono)]: the width of ``a``'s window,
-    shifted by min(0, mono.q_exp).  Each output row is one input row plus
-    one shifted input row, so no general convolution runs; a q-exponent
-    at least the window's width changes nothing, and ``a`` is returned.
+    The result window is the width of ``a``'s, shifted by min(0, mono.q_exp).
     """
-    step = mono.q_exp
-    if step >= a.order - a.min_exp:
-        return a
-    shift = min(0, step)
-    coeffs = a.coeffs
-    # row i is coeffs[i - one_at] - mono * coeffs[i - mono_at]; one offset is 0
-    one_at = -shift
-    mono_at = step - shift
-    width = min(a.order - a.min_exp, len(coeffs) + max(one_at, mono_at))
-    rows: list[dict[int, int]] = [{} for _ in range(width)]
-    for i, row in zip(range(one_at, width), coeffs):
-        rows[i] = dict(row._terms)
-    z_shift, neg_sign = mono.z_exp, -mono.sign
-    for i, row in zip(range(mono_at, width), coeffs):
-        if row._terms:
-            _add_into(rows[i], row._terms, z_shift, neg_sign)
-    return QSeries(
-        a.min_exp + shift, [ZLaurentPoly._make(r) for r in rows], a.order + shift
-    )
+    return qs_mul_pochhammer(a, mono, 1)
 
 
 # -- Pochhammer symbols ----------------------------------------------------
@@ -873,29 +832,64 @@ def pochhammer_infinite(a: QMonomial, target_order: int) -> QSeries:
     return pochhammer(a, max(0, target_order), target_order)
 
 
-def qs_mul_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
-    """Multiply by (b; q)_n one factor (1 - b*q^k) at a time.
+def _row_dicts(a: QSeries, lead: int, width: int) -> list[dict[int, int]]:
+    """Fresh copies of ``a``'s rows on ``width`` rows, the first of them at
+    index ``lead`` and every other row empty."""
+    rows: list[dict[int, int]] = [{} for _ in range(width)]
+    rows[lead:lead + len(a.coeffs)] = [dict(row._terms) for row in a.coeffs]
+    return rows
 
-    Each factor with a negative q-exponent lowers the window by that much,
-    as in :func:`qs_mul_one_minus`.  The window never widens, so the
-    factors whose q-exponent reaches its width are skipped.
+
+def qs_mul_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
+    """Multiply by (b; q)_n, one in-place pass per factor (1 - b*q^s).
+
+    Row e gains -b * row (e - s), each row read before it is written:
+    downward for s > 0, upward for s < 0, from a snapshot for s = 0.  A
+    negative s lowers the window by -s and keeps its width, so the rows
+    are laid once from the final lowest exponent and each such pass drops
+    the top -s rows.  Factors whose q-exponent reaches the window's width
+    are skipped; with none left, ``a`` is returned.
     """
-    for k in range(min(n, a.order - a.min_exp - b.q_exp)):
-        a = qs_mul_one_minus(a, b * QMonomial.q_power(k))
-    return a
+    count = min(n, a.order - a.min_exp - b.q_exp)
+    if count <= 0:
+        return a
+    low = pochhammer_min_exp(b, count)
+    rows = _row_dicts(a, -low, a.order - a.min_exp - low)
+    known = len(rows)  # rows at and past this one lie past the window
+    z_shift, neg_sign = b.z_exp, -b.sign
+    for s in range(b.q_exp, b.q_exp + count):
+        if s < 0:
+            known += s
+        for i in range(known) if s < 0 else range(known - 1, s - 1, -1):
+            src = rows[i - s]
+            if src:
+                _add_into(rows[i], dict(src) if s == 0 else src, z_shift, neg_sign)
+    rows = [ZLaurentPoly._make(r) for r in rows[:known]]
+    return QSeries(a.min_exp + low, rows, a.order + low)
 
 
 def qs_div_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
-    """Divide by (b; q)_n one factor (1 - b*q^k) at a time.
+    """Divide by (b; q)_n, one in-place pass per factor (1 - b*q^s).
 
-    Needs b.q_exp >= 1; keeps the window of ``a``, and skips the factors
-    whose q-exponent reaches its width.
+    Needs b.q_exp >= 1.  Rows are visited upward and row e gains
+    b * row (e - s), already divided, which keeps the window of ``a``.
+    The factors whose q-exponent reaches its width are skipped; with none
+    left, ``a`` is returned.
     """
     if n > 0 and b.q_exp < 1:
         raise DivergentProduct("qs_div_one_minus needs a factor with q_exp >= 1")
-    for k in range(min(n, a.order - a.min_exp - b.q_exp)):
-        a = qs_div_one_minus(a, b * QMonomial.q_power(k))
-    return a
+    width = a.order - a.min_exp
+    count = min(n, width - b.q_exp)
+    if count <= 0:
+        return a
+    rows = _row_dicts(a, 0, width)
+    z_shift, sign = b.z_exp, b.sign
+    for s in range(b.q_exp, b.q_exp + count):
+        for i in range(s, width):
+            src = rows[i - s]
+            if src:
+                _add_into(rows[i], src, z_shift, sign)
+    return QSeries(a.min_exp, [ZLaurentPoly._make(r) for r in rows], a.order)
 
 
 # -- closed-form generating functions --------------------------------------

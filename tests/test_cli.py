@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import overgap.cli as cli
+import overgap.hyper as hyper
 from overgap.cli import main
 from overgap.partitions import Bipartition, iter_bounded_parts
 from overgap.qseries import QSeries, ZLaurentPoly, bounded_gap_overpartition_gf
@@ -386,6 +387,21 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "chu", "--t", "1", "--order", "8")
     assert code == 2
     assert json.loads(out)[0]["pass"] is False
+
+
+def test_verify_chain_failure_names_the_coefficient(capsys, monkeypatch):
+    lines = hyper.chain_lines(2, 12)
+    wrong, previous = hyper.chain_lines(3, 12)[-1][1], lines[2][1]
+    tampered = lines[:3] + [("closed_form", wrong)]
+    monkeypatch.setattr(hyper, "chain_lines", lambda t, order: tampered)
+    code, out, _ = run(capsys, "verify", "--suite", "chain", "--t", "2", "--order", "12")
+    assert code == 2
+    [entry] = json.loads(out)
+    n, m, line_value, previous_value = wrong.first_difference(previous, 12)
+    assert [line.get("first_difference") for line in entry["details"]["lines"]] == [
+        None, None, None,
+        {"q": n, "z": m, "line": str(line_value), "previous": str(previous_value)},
+    ]
 
 
 def test_verify_env_default_order(capsys, monkeypatch):

@@ -314,6 +314,17 @@ def test_compare_lines_detects_mismatch():
     report = compare_lines(2, tampered, 12)
     assert not report.passed
     assert [c.equal_to_previous for c in report.lines] == [True, True, True, False]
+    *_, closed = report.lines
+    q_exp, z_exp, value, previous = closed.first_difference
+    assert (value, previous) == (
+        tampered[3][1].zq_coeff(q_exp, z_exp), tampered[2][1].zq_coeff(q_exp, z_exp)
+    )
+    assert tampered[3][1].first_difference(tampered[2][1], 12) == closed.first_difference
+    assert all(line.first_difference is None for line in report.lines[:3])
+    assert report.to_json_dict()["lines"][3]["first_difference"] == {
+        "q": q_exp, "z": z_exp, "line": str(value), "previous": str(previous)
+    }
+    assert all("first_difference" not in line for line in report.to_json_dict()["lines"][:3])
 
 
 def test_compare_lines_rejects_unknown_mode():
@@ -462,15 +473,15 @@ def test_eval_phi_is_independent_of_the_first_window(monkeypatch, t):
 
 
 def binomial_windows(monkeypatch, check):
-    """The (order, width) of every input window a binomial kernel sees
-    while ``check`` runs."""
+    """The (order, width) of every input window a Pochhammer product, the
+    binomial kernels included, sees while ``check`` runs."""
     windows = []
-    for name in ("qs_mul_one_minus", "qs_div_one_minus"):
-        kernel = getattr(qseries, name)
+    for name in ("qs_mul_pochhammer", "qs_div_pochhammer"):
+        product = getattr(qseries, name)
 
-        def wrapped(a, mono, kernel=kernel):
+        def wrapped(a, b, n, product=product):
             windows.append((a.order, a.order - a.min_exp))
-            return kernel(a, mono)
+            return product(a, b, n)
 
         monkeypatch.setattr(qseries, name, wrapped)
         monkeypatch.setattr(hyper, name, wrapped)
@@ -520,6 +531,22 @@ def test_chu_walk_stops_at_the_first_term_past_the_order(monkeypatch):
         return check_q_chu_vandermonde(NEG_Z, NEG_ZQ, 2000, 5)
 
     assert len(binomial_windows(monkeypatch, check)) <= 20
+
+
+def test_eval_phi_windows_ignore_terms_past_the_termination_index(monkeypatch):
+    # the terms past q^(-12)'s index are zero, so asking for 50 terms must
+    # size no window by their drift
+    spec = HypergeometricSpec((NEG_Z, Q(-12), QMonomial(1, 1, 2)), (NEG_ZQ,), Q(13))
+    results, widths = {}, {}
+    for terms in (13, 50):
+        def check():
+            results[terms] = eval_phi(spec, terms, 100)
+            return True
+
+        widths[terms] = max(width for _, width in binomial_windows(monkeypatch, check))
+        monkeypatch.undo()
+    assert widths[50] <= widths[13]
+    assert results[50] == results[13]
 
 
 def test_library_paths_never_invert(monkeypatch, capsys):

@@ -359,19 +359,25 @@ def test_infinite_product_divergence():
         pochhammer_infinite(QMonomial(1, 0, -1), 5)
 
 
-def count_kernel_calls(monkeypatch, name):
-    """Wrap one binomial kernel in qseries; the list collects its calls."""
-    calls, kernel = [], getattr(qseries, name)
+def count_row_merges(monkeypatch):
+    """Wrap the row merge ``qseries._add_into``; the list collects its calls."""
+    calls, merge = [], qseries._add_into
 
-    def counted(a, mono):
-        calls.append(mono)
-        return kernel(a, mono)
+    def counted(out, terms, z_shift, scale):
+        calls.append((z_shift, scale))
+        merge(out, terms, z_shift, scale)
 
-    monkeypatch.setattr(qseries, name, counted)
+    monkeypatch.setattr(qseries, "_add_into", counted)
     return calls
 
 
 WINDOW_5 = QSeries.from_terms({2: zp({0: 1, 1: 2}), 4: -3, 6: zp({-1: 1})}, 7)
+
+
+def one_factor_at_a_time(kernel, a, b, n):
+    for k in range(n):
+        a = kernel(a, b * QMonomial.q_power(k))
+    return a
 
 
 @pytest.mark.parametrize("q_exp", [-2, 1, 2, 3, 4, 5, 6])
@@ -379,25 +385,25 @@ def test_mul_pochhammer_stops_at_the_window(monkeypatch, q_exp):
     # the window [2, 7) is 5 wide and never widens, so only the factors
     # (1 - b q^k) with b.q_exp + k < 5 can change the series
     b = QMonomial(-1, 1, q_exp)
-    calls = count_kernel_calls(monkeypatch, "qs_mul_one_minus")
-    result = qseries.qs_mul_pochhammer(WINDOW_5, b, 10**4)
-    assert len(calls) == max(0, 5 - q_exp)
-    expected = WINDOW_5
-    for k in range(len(calls)):
-        expected = qs_mul_one_minus(expected, b * QMonomial.q_power(k))
-    assert result == expected
+    needed = max(0, 5 - q_exp)
+    expected = one_factor_at_a_time(qs_mul_one_minus, WINDOW_5, b, needed)
+    merges = count_row_merges(monkeypatch)
+    assert qseries.qs_mul_pochhammer(WINDOW_5, b, needed) == expected
+    merged = len(merges)
+    assert qseries.qs_mul_pochhammer(WINDOW_5, b, 10**4) == expected
+    assert len(merges) == 2 * merged
 
 
 @pytest.mark.parametrize("q_exp", [1, 2, 3, 4, 5, 6])
 def test_div_pochhammer_stops_at_the_window(monkeypatch, q_exp):
     b = QMonomial(-1, 1, q_exp)
-    calls = count_kernel_calls(monkeypatch, "qs_div_one_minus")
-    result = qseries.qs_div_pochhammer(WINDOW_5, b, 10**4)
-    assert len(calls) == max(0, 5 - q_exp)
-    expected = WINDOW_5
-    for k in range(len(calls)):
-        expected = qs_div_one_minus(expected, b * QMonomial.q_power(k))
-    assert result == expected
+    needed = max(0, 5 - q_exp)
+    expected = one_factor_at_a_time(qs_div_one_minus, WINDOW_5, b, needed)
+    merges = count_row_merges(monkeypatch)
+    assert qseries.qs_div_pochhammer(WINDOW_5, b, needed) == expected
+    merged = len(merges)
+    assert qseries.qs_div_pochhammer(WINDOW_5, b, 10**4) == expected
+    assert len(merges) == 2 * merged
 
 
 def test_binomial_kernels_past_the_window_return_the_input():
@@ -944,3 +950,29 @@ def test_mul_one_minus_matches_row_loop(a, mono):
 @example(QSeries(-4, [zp({-1: 5, 2: -1}), zp({}), zp({0: 2**70})], 7), QMonomial(1, -1, 2))
 def test_div_one_minus_matches_row_loop(a, mono):
     assert qs_div_one_minus(a, mono) == legacy_div_one_minus(a, mono)
+
+
+@given(
+    sparse_series(),
+    binomials(st.integers(min_value=-3, max_value=4)),
+    st.integers(min_value=0, max_value=6),
+)
+@example(QSeries(0, [zp({0: 1}), zp({1: -1})], 9), QMonomial(1, 0, -2), 5)
+@example(QSeries(-2, [zp({0: 3}), zp({}), zp({2: 1})], 4), QMonomial(-1, 2, -3), 6)
+@example(QSeries.zero(3), QMonomial(1, -1, -1), 3)
+def test_mul_pochhammer_matches_row_loop(a, mono, n):
+    # from q_exp -3 one product crosses negative, zero and positive steps
+    expected = one_factor_at_a_time(legacy_mul_one_minus, a, mono, n)
+    assert qseries.qs_mul_pochhammer(a, mono, n) == expected
+
+
+@given(
+    sparse_series(),
+    binomials(st.integers(min_value=1, max_value=4)),
+    st.integers(min_value=0, max_value=6),
+)
+@example(QSeries.one(12), QMonomial(-1, 2, 1), 6)
+@example(QSeries(-4, [zp({-1: 5, 2: -1}), zp({}), zp({0: 2**70})], 7), QMonomial(1, -1, 2), 4)
+def test_div_pochhammer_matches_row_loop(a, mono, n):
+    expected = one_factor_at_a_time(legacy_div_one_minus, a, mono, n)
+    assert qseries.qs_div_pochhammer(a, mono, n) == expected
