@@ -6,15 +6,16 @@ and a monomial argument w; the value is
     sum_{n >= 0} [prod_i (a_i; q)_n / ((q; q)_n prod_j (b_j; q)_n)]
                  * ((-1)^n q^(n(n-1)/2))^(s - r) * w^n.
 
-Evaluation walks the terms with exact ratio updates: multiplying by the
-new numerator factors (1 - a q^(n-1)) and dividing out the new
-denominator factors, one binomial at a time, keeps every intermediate a
-window-true :class:`~overgap.qseries.QSeries`, so the partial sum is
-exact to the requested order.  Each term is kept past the order only as
-far as the lowest window of the terms after it falls below its own, so
-no pass computes a coefficient that no later term reads, and the walk
-stops at the first term that is zero on its window.  A parameter shared
-by numerator and denominator (q included, for the (q; q)_n factor)
+Evaluation walks the terms with exact ratio updates: each step is one
+call to :func:`~overgap.qseries.qs_pochhammer_ratio`, which multiplies
+by the new numerator factors (1 - a q^(n-1)) and divides out the new
+denominator factors, so every term is a window-true
+:class:`~overgap.qseries.QSeries` and the partial sum is exact to the
+requested order.  Each term is kept past the order only as far as the
+lowest window of the terms after it falls below its own, so no pass
+computes a coefficient that no later term reads, and the walk stops at
+the first term that is zero on its window.  A parameter shared by
+numerator and denominator (q included, for the (q; q)_n factor)
 contributes the same factor to both and is skipped.  A numerator
 parameter q^(-k) (sign +1, no z) terminates the series after k + 1
 terms; without one, the argument must carry a positive q-exponent so
@@ -29,8 +30,8 @@ q^(t+2)) and lines 5-6 the two sides of q-Chu-Vandermonde at (-z, -zq,
 t), each times its prefactor; the chain and the two checks compute those
 sides with the same code.  Chain line 2 walks its running term by the
 same rule: no later term reads it past the order.  Every Pochhammer
-quotient, finite or infinite, is divided out one factor at a time; no
-general inverse is taken.
+quotient, finite or infinite, is divided out in place by the same
+kernel; no general inverse is taken.
 """
 
 from __future__ import annotations
@@ -44,14 +45,11 @@ from .qseries import (
     QSeries,
     ZLaurentPoly,
     bounded_gap_overpartition_gf,
-    pochhammer,
     pochhammer_infinite,
-    qs_div_one_minus,
-    qs_div_pochhammer,
+    pochhammer_min_exp,
     qs_mul,
     qs_mul_finite,
-    qs_mul_one_minus,
-    qs_mul_pochhammer,
+    qs_pochhammer_ratio,
 )
 
 __all__ = [
@@ -175,21 +173,19 @@ def eval_phi(
             numerator.remove(param)
             denominator.remove(param)
     for n in range(1, terms):
-        for param in numerator:
-            term = qs_mul_one_minus(
-                term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
-            )
-        for param in denominator:
-            term = qs_div_one_minus(
-                term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
-            )
+        lift = QMonomial.q_power(n - 1)
+        term = qs_pochhammer_ratio(
+            term,
+            [(p * lift, 1) for p in numerator],
+            [(p * lift, 1) for p in denominator],
+        )
         term = term * (arg * QMonomial(-1 if shift % 2 else 1, 0, (n - 1) * shift))
         if term.order < target_order + reach[n]:
             raise AssertionError("hypergeometric window accounting failed")
         term = term.truncate(target_order + reach[n])
         if term.is_zero():
             break
-        total = total + term.truncate(target_order)
+        total = total + term
     return total
 
 
@@ -204,7 +200,8 @@ def _chu_sides(
     )
     lhs = eval_phi(spec, n + 1, target_order)
     # eval_phi has already rejected c.q_exp < 1, so every factor divides
-    rhs = qs_div_pochhammer(pochhammer(c / a, n, target_order), c, n)
+    start = QSeries.one(target_order - pochhammer_min_exp(c / a, n))
+    rhs = qs_pochhammer_ratio(start, [(c / a, n)], [(c, n)])
     return lhs, rhs
 
 
@@ -243,8 +240,9 @@ def _transform_sides(
         pochhammer_infinite((d * e) / (b * c), width),
     )
     # divide out each (p; q)_inf one factor at a time, below the window
-    for param in (e, (d * e) / (a * b * c)):
-        prefactor = qs_div_pochhammer(prefactor, param, width)
+    prefactor = qs_pochhammer_ratio(
+        prefactor, (), [(e, width), ((d * e) / (a * b * c), width)]
+    )
     return lhs, qs_mul(prefactor, series)
 
 
@@ -297,14 +295,14 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
     acc = QSeries.zero(order)
     for r in range(1, order):
         summand = QSeries.from_terms({r: _ONE_PLUS_Z}, order)
-        summand = qs_mul_pochhammer(summand, QMonomial(-1, 1, r + 1), t - 1)
-        acc = acc + qs_div_pochhammer(summand, QMonomial.q_power(r), t + 1)
+        acc = acc + qs_pochhammer_ratio(
+            summand, [(QMonomial(-1, 1, r + 1), t - 1)], [(QMonomial.q_power(r), t + 1)]
+        )
     lines.append(("smallest_part_sum", acc))
 
     # 2: the same sum with the factors bundled into Pochhammer quotients:
     #    (1+z) sum_{r>=1} q^r (q)_{r-1} (-zq)_{r+t-1} / ((q)_{r+t} (-zq)_r)
-    first = qs_div_pochhammer(qs_mul_pochhammer(q_term, neg_zq, t), q1, t + 1)
-    term = first = qs_div_one_minus(first, neg_zq)
+    term = first = qs_pochhammer_ratio(q_term, [(neg_zq, t)], [(q1, t + 1), (neg_zq, 1)])
     total = QSeries.zero(order)
     r = 1
     while not term.is_zero():
@@ -312,9 +310,11 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
         # q (1 - q^r) lifts the window by one, and nothing reads past the
         # order; cut there, the term is zero after order - 1 steps
         term = qs_mul_finite(term, [(1, _ONE), (r + 1, _MINUS_ONE)]).truncate(order)
-        term = qs_mul_one_minus(term, QMonomial(-1, 1, r + t))
-        term = qs_div_one_minus(term, QMonomial.q_power(r + t + 1))
-        term = qs_div_one_minus(term, QMonomial(-1, 1, r + 1))
+        term = qs_pochhammer_ratio(
+            term,
+            [(QMonomial(-1, 1, r + t), 1)],
+            [(QMonomial.q_power(r + t + 1), 1), (QMonomial(-1, 1, r + 1), 1)],
+        )
         r += 1
     lines.append(("pochhammer_quotient_sum", total * _ONE_PLUS_Z))
 
@@ -339,8 +339,9 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
     #    q-Chu-Vandermonde at (-z, -zq, t): the terminating series with
     #    numerator (-z, q^{-t}), denominator (-zq), argument q^{t+1}, and
     #    its sum (q)_t / (-zq)_t
-    neg_pref = qs_div_pochhammer(pochhammer(neg_zq, t, order), q1, t) * (-1)
-    neg_pref = qs_div_one_minus(neg_pref, QMonomial.q_power(t))
+    neg_pref = qs_pochhammer_ratio(
+        QSeries.one(order), [(neg_zq, t)], [(q1, t), (QMonomial.q_power(t), 1)]
+    ) * (-1)
     series_5, summed = _chu_sides(QMonomial(-1, 1, 0), neg_zq, t, order)
     lines.append(("series_2phi1", qs_mul(neg_pref, series_5 - 1)))
     lines.append(("chu_closed_form", qs_mul(neg_pref, summed - 1)))

@@ -13,13 +13,15 @@ products and Pochhammer passes alike, goes through one loop,
 ``_add_into``, which adds a scaled, z-shifted term map into a row in
 place and drops the coefficients that cancel.
 
-A Pochhammer product or quotient (:func:`qs_mul_pochhammer`,
-:func:`qs_div_pochhammer`) copies the rows once and makes one in-place
-pass over them per factor ``(1 - a*q^k)``, adding a shifted, signed row
-into each row; the binomial kernels :func:`qs_mul_one_minus` and
-:func:`qs_div_one_minus` are its n = 1 case.  A factor whose q-exponent
-reaches the window's width changes nothing and is skipped: the cost
-follows the window, not the length of the product.
+Every Pochhammer product and quotient runs through one kernel,
+:func:`qs_pochhammer_ratio`: it multiplies by some (b; q)_n and divides
+by some (c; q)_m, copying the rows once and making one in-place pass
+over them per factor ``(1 - a*q^k)``, which adds a shifted, signed row
+into each row.  :func:`pochhammer` and the binomial kernels
+:func:`qs_mul_one_minus` and :func:`qs_div_one_minus` are single calls
+into it.  A factor whose q-exponent reaches the window's width changes
+nothing and is skipped: the cost follows the window, not the length of
+the product.
 Every other product runs through one kernel, :func:`qs_mul`, by Kronecker
 substitution: each operand's (q, z) grid is packed into one integer with
 a signed, byte-aligned digit per coefficient, and a single integer
@@ -57,8 +59,7 @@ __all__ = [
     "qs_mul_finite",
     "pochhammer",
     "pochhammer_infinite",
-    "qs_mul_pochhammer",
-    "qs_div_pochhammer",
+    "qs_pochhammer_ratio",
     "bounded_gap_overpartition_gf",
     "bounded_gap_partition_gf",
 ]
@@ -782,9 +783,62 @@ def qs_invert(a: QSeries, target_order: int) -> QSeries:
     return inverse * scale
 
 
-def qs_div_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
-    """Divide by (1 - mono), mono.q_exp >= 1: (mono; q)_1, keeping the window."""
-    return qs_div_pochhammer(a, mono, 1)
+# -- Pochhammer symbols ----------------------------------------------------
+
+
+def pochhammer_min_exp(a: QMonomial, n: int) -> int:
+    """Lowest possible q-exponent of (a; q)_n: its factors' negative ones."""
+    return sum(a.q_exp + k for k in range(min(n, -a.q_exp)))
+
+
+def qs_pochhammer_ratio(
+    a: QSeries,
+    num: Sequence[tuple[QMonomial, int]],
+    den: Sequence[tuple[QMonomial, int]],
+) -> QSeries:
+    """Multiply by (b; q)_n for each (b, n) in ``num`` and divide by
+    (c; q)_m for each (c, m) in ``den``, which needs every c.q_exp >= 1.
+
+    The rows are copied once and every factor (1 - b*q^s) is one in-place
+    pass over them.  A product pass adds -b * row (e - s) into row e, each
+    row read before it is written: downward for s > 0, upward for s < 0,
+    from a snapshot for s = 0.  A negative s lowers the window by -s and
+    keeps its width, so the rows are laid once from the summed negative
+    exponents and each such pass drops the top -s rows.  The quotient
+    passes then run upward, adding c * row (e - s), already divided, into
+    row e.  Factors whose q-exponent reaches the window's width change
+    nothing and are skipped; with none left, ``a`` is returned.
+    """
+    if any(m > 0 and c.q_exp < 1 for c, m in den):
+        raise DivergentProduct("qs_div_one_minus needs a factor with q_exp >= 1")
+    width = a.order - a.min_exp
+    num = [(b, min(n, width - b.q_exp)) for b, n in num]
+    den = [(c, min(m, width - c.q_exp)) for c, m in den]
+    if all(n <= 0 for _, n in num + den):
+        return a
+    # the negative factors lower the window by -low: lay a's rows that far up
+    low = sum(pochhammer_min_exp(b, n) for b, n in num)
+    rows: list[dict[int, int]] = [{} for _ in range(width - low)]
+    rows[-low:len(a.coeffs) - low] = [dict(row._terms) for row in a.coeffs]
+    known = len(rows)  # rows at and past this one lie past the window
+    for b, n in num:
+        z_shift, neg_sign = b.z_exp, -b.sign
+        for s in range(b.q_exp, b.q_exp + n):
+            if s < 0:
+                known += s
+            for i in range(known) if s < 0 else range(known - 1, s - 1, -1):
+                src = rows[i - s]
+                if src:
+                    _add_into(rows[i], dict(src) if s == 0 else src, z_shift, neg_sign)
+    del rows[known:]
+    for c, m in den:
+        z_shift, sign = c.z_exp, c.sign
+        for s in range(c.q_exp, c.q_exp + m):
+            for i in range(s, width):
+                src = rows[i - s]
+                if src:
+                    _add_into(rows[i], src, z_shift, sign)
+    return QSeries(a.min_exp + low, [ZLaurentPoly._make(r) for r in rows], a.order + low)
 
 
 def qs_mul_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
@@ -792,15 +846,12 @@ def qs_mul_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
 
     The result window is the width of ``a``'s, shifted by min(0, mono.q_exp).
     """
-    return qs_mul_pochhammer(a, mono, 1)
+    return qs_pochhammer_ratio(a, [(mono, 1)], ())
 
 
-# -- Pochhammer symbols ----------------------------------------------------
-
-
-def pochhammer_min_exp(a: QMonomial, n: int) -> int:
-    """Lowest possible q-exponent of (a; q)_n: its factors' negative ones."""
-    return sum(a.q_exp + k for k in range(min(n, -a.q_exp)))
+def qs_div_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
+    """Divide by (1 - mono), mono.q_exp >= 1: (mono; q)_1, keeping the window."""
+    return qs_pochhammer_ratio(a, (), [(mono, 1)])
 
 
 def pochhammer(a: QMonomial, n: int, target_order: int) -> QSeries:
@@ -811,11 +862,8 @@ def pochhammer(a: QMonomial, n: int, target_order: int) -> QSeries:
     """
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    result = QSeries.one(target_order - pochhammer_min_exp(a, n))
-    result = qs_mul_pochhammer(result, a, n)
-    if result.order < target_order:
-        raise AssertionError("pochhammer window accounting failed")
-    return result.truncate(target_order)
+    start = QSeries.one(target_order - pochhammer_min_exp(a, n))
+    return qs_pochhammer_ratio(start, [(a, n)], ())
 
 
 def pochhammer_infinite(a: QMonomial, target_order: int) -> QSeries:
@@ -823,73 +871,13 @@ def pochhammer_infinite(a: QMonomial, target_order: int) -> QSeries:
 
     Converges coefficientwise only when a.q_exp >= 1; factors whose
     q-exponent reaches the order contribute nothing below it, and
-    :func:`qs_mul_pochhammer` skips them.
+    :func:`qs_pochhammer_ratio` skips them.
     """
     if a.q_exp < 1:
         raise DivergentProduct(
             f"(a; q)_inf needs a.q_exp >= 1 for coefficientwise convergence, got {a.q_exp}"
         )
     return pochhammer(a, max(0, target_order), target_order)
-
-
-def _row_dicts(a: QSeries, lead: int, width: int) -> list[dict[int, int]]:
-    """Fresh copies of ``a``'s rows on ``width`` rows, the first of them at
-    index ``lead`` and every other row empty."""
-    rows: list[dict[int, int]] = [{} for _ in range(width)]
-    rows[lead:lead + len(a.coeffs)] = [dict(row._terms) for row in a.coeffs]
-    return rows
-
-
-def qs_mul_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
-    """Multiply by (b; q)_n, one in-place pass per factor (1 - b*q^s).
-
-    Row e gains -b * row (e - s), each row read before it is written:
-    downward for s > 0, upward for s < 0, from a snapshot for s = 0.  A
-    negative s lowers the window by -s and keeps its width, so the rows
-    are laid once from the final lowest exponent and each such pass drops
-    the top -s rows.  Factors whose q-exponent reaches the window's width
-    are skipped; with none left, ``a`` is returned.
-    """
-    count = min(n, a.order - a.min_exp - b.q_exp)
-    if count <= 0:
-        return a
-    low = pochhammer_min_exp(b, count)
-    rows = _row_dicts(a, -low, a.order - a.min_exp - low)
-    known = len(rows)  # rows at and past this one lie past the window
-    z_shift, neg_sign = b.z_exp, -b.sign
-    for s in range(b.q_exp, b.q_exp + count):
-        if s < 0:
-            known += s
-        for i in range(known) if s < 0 else range(known - 1, s - 1, -1):
-            src = rows[i - s]
-            if src:
-                _add_into(rows[i], dict(src) if s == 0 else src, z_shift, neg_sign)
-    rows = [ZLaurentPoly._make(r) for r in rows[:known]]
-    return QSeries(a.min_exp + low, rows, a.order + low)
-
-
-def qs_div_pochhammer(a: QSeries, b: QMonomial, n: int) -> QSeries:
-    """Divide by (b; q)_n, one in-place pass per factor (1 - b*q^s).
-
-    Needs b.q_exp >= 1.  Rows are visited upward and row e gains
-    b * row (e - s), already divided, which keeps the window of ``a``.
-    The factors whose q-exponent reaches its width are skipped; with none
-    left, ``a`` is returned.
-    """
-    if n > 0 and b.q_exp < 1:
-        raise DivergentProduct("qs_div_one_minus needs a factor with q_exp >= 1")
-    width = a.order - a.min_exp
-    count = min(n, width - b.q_exp)
-    if count <= 0:
-        return a
-    rows = _row_dicts(a, 0, width)
-    z_shift, sign = b.z_exp, b.sign
-    for s in range(b.q_exp, b.q_exp + count):
-        for i in range(s, width):
-            src = rows[i - s]
-            if src:
-                _add_into(rows[i], src, z_shift, sign)
-    return QSeries(a.min_exp, [ZLaurentPoly._make(r) for r in rows], a.order)
 
 
 # -- closed-form generating functions --------------------------------------
@@ -907,8 +895,9 @@ def bounded_gap_overpartition_gf(t: int, order: int, z_tracked: bool = True) -> 
     if t < 1:
         raise ValueError("the gap bound t must be a positive integer")
     mark = QMonomial(-1, 1 if z_tracked else 0, 1)
-    ratio = qs_div_pochhammer(pochhammer(mark, t, order), QMonomial.q_power(1), t) - 1
-    return qs_div_one_minus(ratio, QMonomial.q_power(t))
+    q1 = QMonomial.q_power(1)
+    ratio = qs_pochhammer_ratio(QSeries.one(order), [(mark, t)], [(q1, t)])
+    return qs_div_one_minus(ratio - 1, QMonomial.q_power(t))
 
 
 def bounded_gap_partition_gf(t: int, order: int) -> QSeries:
@@ -920,5 +909,5 @@ def bounded_gap_partition_gf(t: int, order: int) -> QSeries:
     """
     if t < 1:
         raise ValueError("the gap bound t must be a positive integer")
-    inv = qs_div_pochhammer(QSeries.one(order), QMonomial.q_power(1), t)
+    inv = qs_pochhammer_ratio(QSeries.one(order), (), [(QMonomial.q_power(1), t)])
     return qs_div_one_minus(inv - 1, QMonomial.q_power(t))

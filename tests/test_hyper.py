@@ -473,25 +473,25 @@ def test_eval_phi_is_independent_of_the_first_window(monkeypatch, t):
 
 
 def binomial_windows(monkeypatch, check):
-    """The (order, width) of every input window a Pochhammer product, the
-    binomial kernels included, sees while ``check`` runs."""
+    """The (order, width) of every input window the Pochhammer kernel sees
+    while ``check`` runs; at least one call must reach it."""
     windows = []
-    for name in ("qs_mul_pochhammer", "qs_div_pochhammer"):
-        product = getattr(qseries, name)
+    kernel = qseries.qs_pochhammer_ratio
 
-        def wrapped(a, b, n, product=product):
-            windows.append((a.order, a.order - a.min_exp))
-            return product(a, b, n)
+    def wrapped(a, num, den):
+        windows.append((a.order, a.order - a.min_exp))
+        return kernel(a, num, den)
 
-        monkeypatch.setattr(qseries, name, wrapped)
-        monkeypatch.setattr(hyper, name, wrapped)
+    monkeypatch.setattr(qseries, "qs_pochhammer_ratio", wrapped)
+    monkeypatch.setattr(hyper, "qs_pochhammer_ratio", wrapped)
     assert check()
+    assert windows, "no Pochhammer kernel call was recorded"
     return windows
 
 
 def widest_binomial_window(monkeypatch, check):
-    """The widest input window any binomial kernel sees while ``check`` runs."""
-    return max((width for _, width in binomial_windows(monkeypatch, check)), default=0)
+    """The widest input window the Pochhammer kernel sees while ``check`` runs."""
+    return max(width for _, width in binomial_windows(monkeypatch, check))
 
 
 def test_chu_binomial_windows_stay_at_the_order(monkeypatch):

@@ -380,6 +380,14 @@ def one_factor_at_a_time(kernel, a, b, n):
     return a
 
 
+def mul_pochhammer(a, b, n):
+    return qseries.qs_pochhammer_ratio(a, [(b, n)], ())
+
+
+def div_pochhammer(a, b, n):
+    return qseries.qs_pochhammer_ratio(a, (), [(b, n)])
+
+
 @pytest.mark.parametrize("q_exp", [-2, 1, 2, 3, 4, 5, 6])
 def test_mul_pochhammer_stops_at_the_window(monkeypatch, q_exp):
     # the window [2, 7) is 5 wide and never widens, so only the factors
@@ -388,9 +396,9 @@ def test_mul_pochhammer_stops_at_the_window(monkeypatch, q_exp):
     needed = max(0, 5 - q_exp)
     expected = one_factor_at_a_time(qs_mul_one_minus, WINDOW_5, b, needed)
     merges = count_row_merges(monkeypatch)
-    assert qseries.qs_mul_pochhammer(WINDOW_5, b, needed) == expected
+    assert mul_pochhammer(WINDOW_5, b, needed) == expected
     merged = len(merges)
-    assert qseries.qs_mul_pochhammer(WINDOW_5, b, 10**4) == expected
+    assert mul_pochhammer(WINDOW_5, b, 10**4) == expected
     assert len(merges) == 2 * merged
 
 
@@ -400,9 +408,9 @@ def test_div_pochhammer_stops_at_the_window(monkeypatch, q_exp):
     needed = max(0, 5 - q_exp)
     expected = one_factor_at_a_time(qs_div_one_minus, WINDOW_5, b, needed)
     merges = count_row_merges(monkeypatch)
-    assert qseries.qs_div_pochhammer(WINDOW_5, b, needed) == expected
+    assert div_pochhammer(WINDOW_5, b, needed) == expected
     merged = len(merges)
-    assert qseries.qs_div_pochhammer(WINDOW_5, b, 10**4) == expected
+    assert div_pochhammer(WINDOW_5, b, 10**4) == expected
     assert len(merges) == 2 * merged
 
 
@@ -411,13 +419,20 @@ def test_binomial_kernels_past_the_window_return_the_input():
         mono = QMonomial(-1, 1, step)
         assert qs_mul_one_minus(WINDOW_5, mono) is WINDOW_5
         assert qs_div_one_minus(WINDOW_5, mono) is WINDOW_5
+        ratio = qseries.qs_pochhammer_ratio(WINDOW_5, [(mono, 3)], [(mono, 2), (mono, 0)])
+        assert ratio is WINDOW_5
 
 
 def test_div_pochhammer_rejects_divergent_factor_on_empty_window():
     with pytest.raises(DivergentProduct):
-        qseries.qs_div_pochhammer(QSeries.zero(5), QMonomial(1, 0, 0), 3)
+        div_pochhammer(QSeries.zero(5), QMonomial(1, 0, 0), 3)
     empty = QSeries.zero(5)
-    assert qseries.qs_div_pochhammer(empty, QMonomial(1, 0, 0), 0) == empty
+    assert div_pochhammer(empty, QMonomial(1, 0, 0), 0) == empty
+    # a quotient family the window would skip still fails, next to others
+    with pytest.raises(DivergentProduct, match="qs_div_one_minus needs a factor"):
+        qseries.qs_pochhammer_ratio(
+            WINDOW_5, [(NEG_ZQ, 2)], [(Q(1), 2), (QMonomial(-1, 1, -40), 1)]
+        )
 
 
 # -- the closed-form builders -------------------------------------------
@@ -963,7 +978,7 @@ def test_div_one_minus_matches_row_loop(a, mono):
 def test_mul_pochhammer_matches_row_loop(a, mono, n):
     # from q_exp -3 one product crosses negative, zero and positive steps
     expected = one_factor_at_a_time(legacy_mul_one_minus, a, mono, n)
-    assert qseries.qs_mul_pochhammer(a, mono, n) == expected
+    assert mul_pochhammer(a, mono, n) == expected
 
 
 @given(
@@ -975,4 +990,54 @@ def test_mul_pochhammer_matches_row_loop(a, mono, n):
 @example(QSeries(-4, [zp({-1: 5, 2: -1}), zp({}), zp({0: 2**70})], 7), QMonomial(1, -1, 2), 4)
 def test_div_pochhammer_matches_row_loop(a, mono, n):
     expected = one_factor_at_a_time(legacy_div_one_minus, a, mono, n)
-    assert qseries.qs_div_pochhammer(a, mono, n) == expected
+    assert div_pochhammer(a, mono, n) == expected
+
+
+families = st.lists(
+    st.tuples(binomials(st.integers(min_value=-3, max_value=4)), st.integers(0, 6)),
+    max_size=3,
+)
+quotient_families = st.lists(
+    st.tuples(binomials(st.integers(min_value=1, max_value=4)), st.integers(0, 6)),
+    max_size=3,
+)
+
+
+@given(sparse_series(), families, quotient_families)
+@example(
+    QSeries(-2, [zp({0: 3}), zp({}), zp({2: 1})], 6),
+    [(QMonomial(1, 0, 2), 3), (QMonomial(-1, 2, -3), 6), (QMonomial(1, -1, 0), 2)],
+    [(QMonomial(-1, 2, 1), 4), (QMonomial(1, 0, 3), 2)],
+)
+@example(QSeries.one(9), [(QMonomial(1, 0, 0), 1), (QMonomial(-1, 1, -2), 4)], [(Q(1), 5)])
+@example(QSeries.zero(4), [(QMonomial(1, -1, -3), 6)], [(NEG_ZQ, 3)])
+def test_pochhammer_ratio_matches_row_loops(a, num, den):
+    # products first, then quotients, each family one factor at a time
+    expected = a
+    for b, n in num:
+        expected = one_factor_at_a_time(legacy_mul_one_minus, expected, b, n)
+    for c, m in den:
+        expected = one_factor_at_a_time(legacy_div_one_minus, expected, c, m)
+    assert qseries.qs_pochhammer_ratio(a, num, den) == expected
+
+
+MIXED_FAMILIES = [
+    ([(QMonomial(1, 0, 2), 3), (QMonomial(-1, 2, -3), 6)], [(NEG_ZQ, 4)]),
+    ([(NEG_ZQ, 5), (QMonomial(1, -1, 0), 2)], [(Q(1), 6), (QMonomial(-1, 1, 3), 2)]),
+    ([(QMonomial(-1, 1, -1), 3), (Q(4), 2), (QMonomial(1, 0, -2), 2)], []),
+]
+
+
+@pytest.mark.parametrize("num, den", MIXED_FAMILIES)
+def test_pochhammer_ratio_merges_as_its_families_one_at_a_time(monkeypatch, num, den):
+    # one copy of the rows, but exactly the row merges of one call per family
+    a = QSeries(-2, [zp({0: 3}), zp({}), zp({-1: 4, 2: 1}), zp({1: -2})], 12)
+    merges = count_row_merges(monkeypatch)
+    chained = a
+    for b, n in num:
+        chained = mul_pochhammer(chained, b, n)
+    for c, m in den:
+        chained = div_pochhammer(chained, c, m)
+    one_at_a_time = len(merges)
+    assert qseries.qs_pochhammer_ratio(a, num, den) == chained
+    assert len(merges) == 2 * one_at_a_time
