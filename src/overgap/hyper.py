@@ -31,7 +31,10 @@ t), each times its prefactor; the chain and the two checks compute those
 sides with the same code.  Chain line 2 walks its running term by the
 same rule: no later term reads it past the order.  Every Pochhammer
 quotient, finite or infinite, is divided out in place by the same
-kernel; no general inverse is taken.
+kernel; no general inverse is taken.  Chain line 7, the closed form,
+is the one line built apart from that kernel (from z-columns, in
+:func:`qseries.bounded_gap_overpartition_gf`), so the last link of the
+chain checks the kernel against another method.
 """
 
 from __future__ import annotations

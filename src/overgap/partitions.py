@@ -21,10 +21,10 @@ never from a closed form, so they can serve as independent cross-checks
 for the series builders in :mod:`qseries`.  :func:`gf_from_enumeration`
 builds and counts every member object.  :func:`enumerated_bounded_gap_gf`
 visits every partition shape (the parts without their marks) whose gap
-is at most the largest bound, and walks the mark patterns once per
-number of distinct sizes, since their mark histogram depends on nothing
-else.  The enumerators only enter shapes that belong to the family, so
-no member is built and then thrown away.
+is at most the largest bound and weighs each by the mark histogram of
+its number of distinct sizes, a row of binomial coefficients, since it
+depends on nothing else.  The enumerators only enter shapes that belong
+to the family, so no member is built and then thrown away.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import product
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .qseries import QSeries, ZLaurentPoly
@@ -453,16 +454,14 @@ def gf_from_enumeration(family: str, t: int, max_n: int) -> QSeries:
 def _mark_histograms(d: int) -> tuple[list[int], list[int]]:
     """Mark counts over the 2^d patterns of a shape with d distinct sizes.
 
-    Returns the histogram by number of marks over all patterns, and over
-    those leaving the largest size (bit 0) unmarked.
+    Returns the histogram by number of marks over all patterns, C(d, o)
+    with o marks, and over those leaving the largest size unmarked,
+    C(d - 1, o).
     """
-    every = [0] * (d + 1)
-    top_unmarked = [0] * (d + 1)
-    for mask in range(1 << d):
-        o = mask.bit_count()
-        every[o] += 1
-        if not mask & 1:
-            top_unmarked[o] += 1
+    # o marks among d sizes, or among the d - 1 below the largest; with no
+    # size at all the one empty pattern leaves the (absent) largest unmarked
+    every = [comb(d, o) for o in range(d + 1)]
+    top_unmarked = [comb(max(d - 1, 0), o) for o in range(d + 1)]
     return every, top_unmarked
 
 
@@ -472,11 +471,11 @@ def enumerated_bounded_gap_gf(ts, max_n: int) -> dict[int, QSeries]:
     Visits every partition shape of weight up to ``max_n`` whose gap is
     at most the largest bound exactly once, counting the shapes of each
     weight by (d, gap), d the number of distinct sizes.  The mark
-    histogram of a shape depends only on d, so the 2^d mark patterns are
-    walked once per d, and each bound t adds count times the histogram
-    of every (d, gap) it admits: all patterns below t, those with the
-    largest size unmarked at gap t.  Returns, per bound, the same series
-    :func:`gf_from_enumeration` would produce.
+    histogram of a shape depends only on d (binomial coefficients, see
+    :func:`_mark_histograms`), and each bound t adds count times the
+    histogram of every (d, gap) it admits: all patterns below t, those
+    with the largest size unmarked at gap t.  Returns, per bound, the
+    same series :func:`gf_from_enumeration` would produce.
     """
     ts = sorted(set(int(t) for t in ts))
     if ts and ts[0] < 1:

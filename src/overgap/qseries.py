@@ -22,6 +22,12 @@ into each row.  :func:`pochhammer` and the binomial kernels
 into it.  A factor whose q-exponent reaches the window's width changes
 nothing and is skipped: the cost follows the window, not the length of
 the product.
+The bounded-gap closed forms are the one Pochhammer quotient built
+apart from that kernel: the finite q-binomial theorem splits
+(-zq; q)_t / (q; q)_t into z^k columns, each a dense list of integers
+over the window, and every factor (1 - q^s) is one slice pass over a
+column.  So :func:`bounded_gap_overpartition_gf` is a method
+independent of the kernel that the hypergeometric chain runs on.
 Every other product runs through one kernel, :func:`qs_mul`, by Kronecker
 substitution: each operand's (q, z) grid is packed into one integer with
 a signed, byte-aligned digit per coefficient, and a single integer
@@ -41,6 +47,8 @@ import json
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -858,11 +866,16 @@ def pochhammer(a: QMonomial, n: int, target_order: int) -> QSeries:
     """The finite product (a; q)_n = prod_{k=0}^{n-1} (1 - a*q^k).
 
     Exact up to ``target_order`` even when ``a`` has a nonpositive
-    q-exponent, in which case the result is a genuine Laurent series.
+    q-exponent, in which case the result is a genuine Laurent series.  A
+    window that ends at or below the product's lowest exponent holds
+    nothing of it: the result is the zero series of that order.
     """
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    start = QSeries.one(target_order - pochhammer_min_exp(a, n))
+    low = pochhammer_min_exp(a, n)
+    if target_order <= low:
+        return QSeries.zero(target_order)
+    start = QSeries.one(target_order - low)
     return qs_pochhammer_ratio(start, [(a, n)], ())
 
 
@@ -883,6 +896,74 @@ def pochhammer_infinite(a: QMonomial, target_order: int) -> QSeries:
 # -- closed-form generating functions --------------------------------------
 
 
+def _times_one_minus(col: list[int], s: int) -> None:
+    """col *= (1 - q^s) in place, for s >= 1, on the window of len(col)."""
+    if s < len(col):
+        col[s:] = map(sub, col[s:], col[:-s])
+
+
+def _over_one_minus(col: list[int], s: int) -> None:
+    """col /= (1 - q^s) in place, for s >= 1: col[e] += col[e - s], upward.
+
+    Each residue class mod s is a running sum when the classes are long
+    (s^2 <= len(col)); otherwise each block of s entries adds the block
+    below it, already divided.
+    """
+    width = len(col)
+    if s >= width:
+        return
+    if s * s <= width:
+        for r in range(s):
+            col[r::s] = accumulate(col[r::s])
+    else:
+        for at in range(s, width, s):
+            col[at:at + s] = map(add, col[at:at + s], col[at - s:at])
+
+
+def _mark_columns(t: int, order: int, marks: bool) -> list[list[int]]:
+    """The z^k columns of (-zq; q)_t / (q; q)_t over q^0..q^(order-1).
+
+    By the finite q-binomial theorem (Andrews, The Theory of Partitions,
+    Thm 3.3) column k is q^(k(k+1)/2) / ((q; q)_k (q; q)_(t-k)).  Column 0
+    is 1/(q; q)_t, and column k+1 is column k shifted up by k+1, times
+    (1 - q^(t-k)), over (1 - q^(k+1)).  The columns stop at k = t, or
+    where the shift k(k+1)/2 reaches the order.  With ``marks`` false only
+    column 0 is built.
+    """
+    col = [1] + [0] * (order - 1)
+    for s in range(1, min(t, order - 1) + 1):
+        _over_one_minus(col, s)
+    columns = [col]
+    k = 0
+    while marks and k < t and (k + 1) * (k + 2) // 2 < order:
+        col = [0] * (k + 1) + col[:order - k - 1]
+        _times_one_minus(col, t - k)
+        _over_one_minus(col, k + 1)
+        columns.append(col)
+        k += 1
+    return columns
+
+
+def _gap_series(t: int, columns: list[list[int]]) -> QSeries:
+    """(sum_k z^k columns[k] - 1) / (1 - q^t), columns over q^0..q^(order-1)."""
+    columns[0][0] -= 1
+    for col in columns:
+        _over_one_minus(col, t)
+    rows = [
+        ZLaurentPoly._make({k: c for k, c in enumerate(row) if c})
+        for row in zip(*columns)
+    ]
+    return QSeries(0, rows, len(columns[0]))
+
+
+def _check_gap_window(t: int, order: int) -> None:
+    if t < 1:
+        raise ValueError("the gap bound t must be a positive integer")
+    if order < 1:
+        # the constant 1 of the Pochhammer ratio lies past such a window
+        raise ValueError(f"term q^0 is at or past order {order}")
+
+
 def bounded_gap_overpartition_gf(t: int, order: int, z_tracked: bool = True) -> QSeries:
     """Generating function for nonempty overpartitions whose largest and
     smallest parts differ by at most t, with the largest part unmarked
@@ -890,14 +971,16 @@ def bounded_gap_overpartition_gf(t: int, order: int, z_tracked: bool = True) -> 
 
     Computed as (1/(1 - q^t)) * ((-zq; q)_t / (q; q)_t - 1); the z-degree
     of the q^n coefficient counts overlined parts.  With ``z_tracked``
-    false the overline marks are forgotten first (z = 1).
+    false the overline marks are forgotten first (z = 1).  The ratio is
+    built as dense integer z^k columns from the finite q-binomial theorem
+    (:func:`_mark_columns`), not by Pochhammer passes over the rows, so
+    it is a method independent of :func:`qs_pochhammer_ratio`.
     """
-    if t < 1:
-        raise ValueError("the gap bound t must be a positive integer")
-    mark = QMonomial(-1, 1 if z_tracked else 0, 1)
-    q1 = QMonomial.q_power(1)
-    ratio = qs_pochhammer_ratio(QSeries.one(order), [(mark, t)], [(q1, t)])
-    return qs_div_one_minus(ratio - 1, QMonomial.q_power(t))
+    _check_gap_window(t, order)
+    columns = _mark_columns(t, order, True)
+    if not z_tracked:
+        columns = [list(map(sum, zip(*columns)))]
+    return _gap_series(t, columns)
 
 
 def bounded_gap_partition_gf(t: int, order: int) -> QSeries:
@@ -905,9 +988,7 @@ def bounded_gap_partition_gf(t: int, order: int) -> QSeries:
     and smallest parts differ by at most t.
 
     Computed as (1/(1 - q^t)) * (1/(q; q)_t - 1), the unmarked (z = 0)
-    shadow of :func:`bounded_gap_overpartition_gf`.
+    shadow of :func:`bounded_gap_overpartition_gf`: its z^0 column.
     """
-    if t < 1:
-        raise ValueError("the gap bound t must be a positive integer")
-    inv = qs_pochhammer_ratio(QSeries.one(order), (), [(QMonomial.q_power(1), t)])
-    return qs_div_one_minus(inv - 1, QMonomial.q_power(t))
+    _check_gap_window(t, order)
+    return _gap_series(t, _mark_columns(t, order, False))

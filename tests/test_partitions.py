@@ -9,6 +9,7 @@ from overgap.partitions import (
     InvalidPartition,
     Overpartition,
     Stats,
+    _mark_histograms,
     enumerated_bounded_gap_gf,
     gf_from_enumeration,
     is_bounded_gap,
@@ -332,3 +333,15 @@ def test_stats_internal_consistency(pi, t):
     threshold = (measured.quotient + 1) * t
     assert measured.raised == sum(1 for part, _ in pi.parts() if part >= threshold)
     assert 0 <= measured.raised <= measured.parts
+
+
+@pytest.mark.parametrize("d", range(0, 15))
+def test_mark_histograms_match_the_pattern_walk(d):
+    # bit 0 of a mask marks the largest of the d sizes
+    every = [0] * (d + 1)
+    top_unmarked = [0] * (d + 1)
+    for mask in range(1 << d):
+        every[mask.bit_count()] += 1
+        if not mask & 1:
+            top_unmarked[mask.bit_count()] += 1
+    assert _mark_histograms(d) == (every, top_unmarked)

@@ -6,6 +6,7 @@ frozen here as literals.
 """
 
 import math
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -359,6 +360,29 @@ def test_infinite_product_divergence():
         pochhammer_infinite(QMonomial(1, 0, -1), 5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pochhammer_infinite(Q(1), 0),
+        lambda: pochhammer(Q(1), 2, 0),
+        lambda: pochhammer(QMonomial(1, 0, -2), 3, -3),
+    ],
+    ids=["infinite-order-0", "finite-order-0", "laurent-at-lowest-exp"],
+)
+def test_pochhammer_on_an_empty_window_is_zero(build):
+    # each window ends at or below the product's lowest exponent
+    series = build()
+    assert series.is_zero()
+    assert series == QSeries.zero(series.order)
+
+
+def test_pochhammer_window_just_past_the_lowest_exponent():
+    # (1 - q^-2)(1 - q^-1)(1 - 1) is identically zero; (1 - q^-2)(1 - q^-1)
+    # starts at q^-3 with coefficient 1
+    assert pochhammer(QMonomial(1, 0, -2), 2, -2) == QSeries.from_terms({-3: 1}, -2)
+    assert pochhammer(QMonomial(1, 0, -2), 3, -2) == QSeries.zero(-2)
+
+
 def count_row_merges(monkeypatch):
     """Wrap the row merge ``qseries._add_into``; the list collects its calls."""
     calls, merge = [], qseries._add_into
@@ -480,6 +504,115 @@ def test_gf_builders_match_general_kernels(t):
                 t, order, z_tracked
             ) == _legacy_overpartition_gf(t, order, z_tracked)
         assert bounded_gap_partition_gf(t, order) == _legacy_partition_gf(t, order)
+
+
+def _pochhammer_route_gf(t, order, z):
+    """The closed form through the Pochhammer kernel, as it was built
+    before the z-column builders: one ratio, then one geometric division."""
+    num = [] if z == "zero" else [(QMonomial(-1, 1 if z == "tracked" else 0, 1), t)]
+    ratio = qseries.qs_pochhammer_ratio(QSeries.one(order), num, [(Q(1), t)])
+    return qs_div_one_minus(ratio - 1, Q(t))
+
+
+def _column_gf(t, order, z):
+    if z == "zero":
+        return bounded_gap_partition_gf(t, order)
+    return bounded_gap_overpartition_gf(t, order, z_tracked=z == "tracked")
+
+
+@pytest.mark.parametrize("t", list(range(1, 13)) + [20, 40, 100])
+def test_gf_columns_match_the_pochhammer_route(t):
+    for order in (1, 2, 3, 31, 120, 301):
+        for z in ("tracked", "one", "zero"):
+            assert _column_gf(t, order, z) == _pochhammer_route_gf(t, order, z), (t, order, z)
+
+
+@pytest.mark.parametrize("z", ["tracked", "one", "zero"])
+@pytest.mark.parametrize("t, order", [(1, 0), (2, 0), (2, -4), (100, -1)])
+def test_gf_empty_window_raises_as_the_pochhammer_route(t, order, z):
+    with pytest.raises(ValueError) as route:
+        _pochhammer_route_gf(t, order, z)
+    with pytest.raises(ValueError) as columns:
+        _column_gf(t, order, z)
+    assert type(columns.value) is type(route.value)
+    assert str(columns.value) == str(route.value) == f"term q^0 is at or past order {order}"
+
+
+@pytest.mark.parametrize("z", ["tracked", "one", "zero"])
+@pytest.mark.parametrize("t, order", [(0, 5), (-3, 5), (0, 0), (-1, -4)])
+def test_gf_rejects_a_nonpositive_bound(t, order, z):
+    with pytest.raises(ValueError) as caught:
+        _column_gf(t, order, z)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "the gap bound t must be a positive integer"
+
+
+def _partition_numbers(count):
+    """p(0..count-1) by Euler's pentagonal number recurrence."""
+    p = [1] + [0] * (count - 1)
+    for n in range(1, count):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p[n] = total
+    return p
+
+
+def _distinct_part_counts(count, p):
+    """Partitions of 0..count-1 into distinct parts, from
+    (-q; q)_inf = (q^2; q^2)_inf / (q; q)_inf: p against the doubled
+    pentagonal series."""
+    out = []
+    for n in range(count):
+        total, k = p[n], 1
+        while k * (3 * k - 1) <= n:
+            sign = -1 if k % 2 else 1
+            total += sign * p[n - k * (3 * k - 1)]
+            if k * (3 * k + 1) <= n:
+                total += sign * p[n - k * (3 * k + 1)]
+            k += 1
+        out.append(total)
+    return out
+
+
+def test_gf_past_enumeration_matches_partition_oracles():
+    # for n <= t every gap is below t: the closed forms count every
+    # nonempty partition and overpartition of n
+    t, order = 2000, 2001
+    p = _partition_numbers(order)
+    distinct = _distinct_part_counts(order, p)
+    assert p[100] == 190569292 and distinct[100] == 444793
+    overpartitions = [
+        sum(map(operator.mul, p[: n + 1], reversed(distinct[: n + 1])))
+        for n in range(order)
+    ]
+    assert overpartitions[:6] == [1, 2, 4, 8, 14, 24]
+    plain = bounded_gap_partition_gf(t, order)
+    assert plain == QSeries.from_terms(dict(enumerate(p[1:], 1)), order)
+    expected = QSeries.from_terms(dict(enumerate(overpartitions[1:], 1)), order)
+    assert bounded_gap_overpartition_gf(t, order, z_tracked=False) == expected
+    assert bounded_gap_overpartition_gf(t, order).subs_z(1) == expected
+
+
+def test_closed_forms_do_not_use_the_pochhammer_kernel(monkeypatch):
+    # chain line 7 must not share a method with line 6
+    expected = {
+        (t, order, z): _pochhammer_route_gf(t, order, z)
+        for t in (1, 4, 13)
+        for order in (1, 9, 60)
+        for z in ("tracked", "one", "zero")
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Pochhammer kernel ran on the closed-form path")
+
+    monkeypatch.setattr(qseries, "qs_pochhammer_ratio", forbidden)
+    for (t, order, z), series in expected.items():
+        assert _column_gf(t, order, z) == series
 
 
 def test_closed_form_avoids_general_kernels(monkeypatch, capsys):
