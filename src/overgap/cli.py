@@ -319,10 +319,16 @@ def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) ->
         if suite == "gf":
             census = enumerated_bounded_gap_gf(ts, order - 1)
             for t in ts:
-                ok = bounded_gap_overpartition_gf(t, order).eq_up_to(
+                diff = bounded_gap_overpartition_gf(t, order).first_difference(
                     census[t], order
                 )
-                add(suite, t, order, ok, {"compared_to": "enumeration", "max_n": order - 1})
+                details = {"compared_to": "enumeration", "max_n": order - 1}
+                if diff is not None:
+                    n, m, closed, counted = diff
+                    details["first_difference"] = {
+                        "q": n, "z": m, "closed_form": str(closed), "enumeration": str(counted)
+                    }
+                add(suite, t, order, diff is None, details)
         elif suite == "fibers":
             for t in ts:
                 for which in ("fold", "merge"):

@@ -31,10 +31,15 @@ t), each times its prefactor; the chain and the two checks compute those
 sides with the same code.  Chain line 2 walks its running term by the
 same rule: no later term reads it past the order.  Every Pochhammer
 quotient, finite or infinite, is divided out in place by the same
-kernel; no general inverse is taken.  Chain line 7, the closed form,
-is the one line built apart from that kernel (from z-columns, in
-:func:`qseries.bounded_gap_overpartition_gf`), so the last link of the
-chain checks the kernel against another method.
+kernel; no general inverse is taken.  Each prefactor of lines 3-6 is
+c q^p times a Pochhammer quotient, applied to each side by kernel passes:
+the side is cut to the window a general product with the prefactor would
+have, the kernel divides the quotient in, and c q^p scales and shifts the
+result.  So no prefactor series is built, and the one general product in
+the chain is the transformation's own infinite-product prefactor.  Chain
+line 7, the closed form, is the one line built apart from that kernel
+(from z-columns, in :func:`qseries.bounded_gap_overpartition_gf`), so the
+last link of the chain checks the kernel against another method.
 """
 
 from __future__ import annotations
@@ -305,7 +310,8 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
 
     # 2: the same sum with the factors bundled into Pochhammer quotients:
     #    (1+z) sum_{r>=1} q^r (q)_{r-1} (-zq)_{r+t-1} / ((q)_{r+t} (-zq)_r)
-    term = first = qs_pochhammer_ratio(q_term, [(neg_zq, t)], [(q1, t + 1), (neg_zq, 1)])
+    neg_zq_t, den_3 = [(neg_zq, t)], [(q1, t + 1), (neg_zq, 1)]
+    term = qs_pochhammer_ratio(q_term, neg_zq_t, den_3)
     total = QSeries.zero(order)
     r = 1
     while not term.is_zero():
@@ -321,33 +327,32 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
         r += 1
     lines.append(("pochhammer_quotient_sum", total * _ONE_PLUS_Z))
 
-    # 3, 4: prefactor (1+z) q (-zq)_t / ((1+zq) (q)_{t+1}), line 2's first
-    #    term times (1+z), times each side of the transformation at
+    # 3, 4: (1+z) q (-zq)_t / ((q)_{t+1} (1+zq)), line 2's first term times
+    #    (1+z), times each side of the transformation at
     #    (q, q, -zq^{t+1}; -zq^2, q^{t+2}): the series with argument q, and
     #    its terminating partner (q, -zq, q^{1-t}; -zq^2, q^2) with argument
     #    q^{t+1} times (q^{t+1})_inf (q^2)_inf / ((q^{t+2})_inf (q)_inf)
-    prefactor = first * _ONE_PLUS_Z
     series_3, transformed = _transform_sides(
-        q1,
-        q1,
-        QMonomial(-1, 1, t + 1),
-        QMonomial(-1, 1, 2),
-        QMonomial.q_power(t + 2),
-        order,
+        q1, q1, QMonomial(-1, 1, t + 1), QMonomial(-1, 1, 2), QMonomial.q_power(t + 2), order
     )
-    lines.append(("series_3phi2", qs_mul(prefactor, series_3)))
-    lines.append(("transformed_3phi2", qs_mul(prefactor, transformed)))
-
-    # 5, 6: -(-zq)_t / ((1-q^t) (q)_t) times (side - 1) for each side of
+    # 5, 6: -(-zq)_t / ((q)_t (1-q^t)) times (side - 1) for each side of
     #    q-Chu-Vandermonde at (-z, -zq, t): the terminating series with
     #    numerator (-z, q^{-t}), denominator (-zq), argument q^{t+1}, and
     #    its sum (q)_t / (-zq)_t
-    neg_pref = qs_pochhammer_ratio(
-        QSeries.one(order), [(neg_zq, t)], [(q1, t), (QMonomial.q_power(t), 1)]
-    ) * (-1)
     series_5, summed = _chu_sides(QMonomial(-1, 1, 0), neg_zq, t, order)
-    lines.append(("series_2phi1", qs_mul(neg_pref, series_5 - 1)))
-    lines.append(("chu_closed_form", qs_mul(neg_pref, summed - 1)))
+    den_5 = [(q1, t), (QMonomial.q_power(t), 1)]
+    # each prefactor c q^p R runs as kernel passes on its side.  c q^p R is
+    #    known to order, so its product with a side on [m, o) is known to
+    #    min(order + m, o + p), qs_mul's window: cut the side there less p
+    for label, side, p, den, c in (
+        ("series_3phi2", series_3, 1, den_3, _ONE_PLUS_Z),
+        ("transformed_3phi2", transformed, 1, den_3, _ONE_PLUS_Z),
+        ("series_2phi1", series_5 - 1, 0, den_5, _MINUS_ONE),
+        ("chu_closed_form", summed - 1, 0, den_5, _MINUS_ONE),
+    ):
+        cut = side.truncate(min(order + side.min_exp - p, side.order))
+        ratio = qs_pochhammer_ratio(cut, neg_zq_t, den)  # keeps the width
+        lines.append((label, ratio * c * QMonomial.q_power(p)))  # q^p shifts it
 
     # 7: the closed product form
     lines.append(("closed_form", bounded_gap_overpartition_gf(t, order, True)))

@@ -32,7 +32,16 @@ Every other product runs through one kernel, :func:`qs_mul`, by Kronecker
 substitution: each operand's (q, z) grid is packed into one integer with
 a signed, byte-aligned digit per coefficient, and a single integer
 multiply yields the whole product.  :func:`qs_mul_finite` and
-:func:`qs_invert` (Newton's iteration) are thin wrappers over it.
+:func:`qs_invert` (Newton's iteration) are thin wrappers over it.  Its
+library callers, and why each stays:
+
+- ``hyper._transform_sides``, two calls: the transformation's
+  infinite-product prefactor, whose four infinite families would each
+  cost ``width`` kernel passes (measured slower);
+- :func:`qs_mul_finite`, chain line 2's step (the benchmark's tests
+  count its product pairs);
+- :func:`qs_invert`, kept for callers; no library path divides with it;
+- ``QSeries.__mul__``, the product of two series.
 Multiplying by a :class:`QMonomial` is a shift of the window, and of the
 z-exponents when the monomial has a z part; no product runs.
 
@@ -817,8 +826,11 @@ def qs_pochhammer_ratio(
     row e.  Factors whose q-exponent reaches the window's width change
     nothing and are skipped; with none left, ``a`` is returned.
     """
-    if any(m > 0 and c.q_exp < 1 for c, m in den):
-        raise DivergentProduct("qs_div_one_minus needs a factor with q_exp >= 1")
+    for c, m in den:
+        if m > 0 and c.q_exp < 1:
+            raise DivergentProduct(
+                f"cannot divide by ({c}; q)_{m}: its q-exponent {c.q_exp} is below 1"
+            )
     width = a.order - a.min_exp
     num = [(b, min(n, width - b.q_exp)) for b, n in num]
     den = [(c, min(m, width - c.q_exp)) for c, m in den]

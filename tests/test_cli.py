@@ -404,6 +404,30 @@ def test_verify_chain_failure_names_the_coefficient(capsys, monkeypatch):
     ]
 
 
+def test_verify_gf_failure_names_the_coefficient(capsys, monkeypatch):
+    # one coefficient of the closed form bumped at t = 3 only
+    def bumped(t, order, z_tracked=True):
+        series = bounded_gap_overpartition_gf(t, order, z_tracked)
+        if t == 3:
+            series = series + QSeries.from_terms({5: ZLaurentPoly({1: 1})}, order)
+        return series
+
+    monkeypatch.setattr(cli, "bounded_gap_overpartition_gf", bumped)
+    code, out, _ = run(capsys, "verify", "--suite", "gf", "--t", "2..3", "--order", "9")
+    assert code == 2
+    passed, failed = json.loads(out)
+    assert passed["pass"] is True and "first_difference" not in passed["details"]
+    counted = bounded_gap_overpartition_gf(3, 9).zq_coeff(5, 1)
+    assert failed["pass"] is False
+    assert failed["details"] == {
+        "compared_to": "enumeration",
+        "max_n": 8,
+        "first_difference": {
+            "q": 5, "z": 1, "closed_form": str(counted + 1), "enumeration": str(counted)
+        },
+    }
+
+
 def test_verify_env_default_order(capsys, monkeypatch):
     monkeypatch.setenv("OVERPART_DEFAULT_ORDER", "8")
     code, out, _ = run(capsys, "verify", "--suite", "gf", "--t", "1")

@@ -1,5 +1,6 @@
 """Series evaluation, the two classical identities, and the derivation chain."""
 
+import inspect
 import json
 
 import pytest
@@ -296,11 +297,26 @@ def legacy_chain_lines(t, order):
     return lines
 
 
-@pytest.mark.parametrize("t", [1, 2, 5, 12])
-@pytest.mark.parametrize("order", [2, 7, 40])
+@pytest.mark.parametrize("t", [1, 2, 5, 12, 20])
+@pytest.mark.parametrize("order", [2, 7, 40, 100])
 def test_chain_lines_match_general_kernels(t, order):
     lines = [series for _, series in chain_lines(t, order)]
     assert lines == legacy_chain_lines(t, order)
+
+
+@pytest.mark.parametrize("t, order", [(1, 1), (1, 2), (3, 40), (12, 100)])
+def test_chain_multiplies_only_in_the_transform(monkeypatch, t, order):
+    # lines 3-6 apply their prefactors by kernel passes: the one general
+    # product left is the transformation's infinite-product prefactor
+    callers = []
+
+    def wrapped(a, b):
+        callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return qs_mul(a, b)
+
+    monkeypatch.setattr(hyper, "qs_mul", wrapped)
+    chain_lines(t, order)
+    assert callers == ["_transform_sides", "_transform_sides"]
 
 
 def test_chain_at_order_one_is_all_zero():
