@@ -269,9 +269,12 @@ class FiberCheck:
     passed: bool
     images_checked: int
     first_failure: str | None
+    # (q_exp, z_exp, aggregated fibers' coefficient, enumeration's) at the
+    # first coefficient where the aggregate census and enumeration differ
+    first_difference: tuple[int, int, int, int] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        entry = {
             "which": self.which,
             "t": self.t,
             "max_n": self.max_n,
@@ -279,6 +282,12 @@ class FiberCheck:
             "images_checked": self.images_checked,
             "first_failure": self.first_failure,
         }
+        if self.first_difference is not None:
+            q_exp, z_exp, fibers, counted = self.first_difference
+            entry["first_difference"] = {
+                "q": q_exp, "z": z_exp, "fibers": str(fibers), "enumeration": str(counted)
+            }
+        return entry
 
 
 def verify_fiber_identity(t: int, max_n: int, which: str = "fold") -> FiberCheck:
@@ -297,7 +306,7 @@ def verify_fiber_identity(t: int, max_n: int, which: str = "fold") -> FiberCheck
     apply_map = fold if which == "fold" else merge
     aggregate: dict[int, ZLaurentPoly] = {}
     checked = 0
-    failure = None
+    failure = diff = None
     for n in range(1, max_n + 1):
         for mu in iter_bounded_parts(t, n):
             checked += 1
@@ -335,9 +344,12 @@ def verify_fiber_identity(t: int, max_n: int, which: str = "fold") -> FiberCheck
         domain_family = "bounded_gap" if which == "fold" else "bipartition"
         lhs = QSeries.from_terms(aggregate, max_n + 1)
         rhs = gf_from_enumeration(domain_family, t, max_n)
-        if not lhs.eq_up_to(rhs, max_n + 1):
+        diff = lhs.first_difference(rhs, max_n + 1)
+        if diff is not None:
+            q_exp, z_exp, fibers, counted = diff
             failure = (
                 f"aggregated fiber census disagrees with the {domain_family} "
-                f"enumeration for t={t} up to weight {max_n}"
+                f"enumeration for t={t} up to weight {max_n}: at q^{q_exp} z^{z_exp} "
+                f"the fibers give {fibers}, enumeration {counted}"
             )
-    return FiberCheck(which, t, max_n, failure is None, checked, failure)
+    return FiberCheck(which, t, max_n, failure is None, checked, failure, diff)

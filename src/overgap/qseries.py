@@ -8,7 +8,7 @@ is claimed.  All operations are exact and propagate the tightest window
 the operands justify, so "equal up to order N" is always a statement
 about coefficients that are actually known.
 
-Every merge of z-term maps, in sums, differences, ``ZLaurentPoly``
+Every merge of z-term maps, in sums, differences, polynomial and series
 products and Pochhammer passes alike, goes through one loop,
 ``_add_into``, which adds a scaled, z-shifted term map into a row in
 place and drops the coefficients that cancel.
@@ -28,10 +28,11 @@ apart from that kernel: the finite q-binomial theorem splits
 over the window, and every factor (1 - q^s) is one slice pass over a
 column.  So :func:`bounded_gap_overpartition_gf` is a method
 independent of the kernel that the hypergeometric chain runs on.
-Every other product runs through one kernel, :func:`qs_mul`, by Kronecker
-substitution: each operand's (q, z) grid is packed into one integer with
-a signed, byte-aligned digit per coefficient, and a single integer
-multiply yields the whole product.  :func:`qs_mul_finite` and
+Every other product runs through one kernel, :func:`qs_mul`, a
+schoolbook product over the sparse rows: each pair of nonzero rows that
+lands in the window merges its product into one output row through
+``_mul_into``, the loop a ``ZLaurentPoly`` product runs, so its cost is
+the number of z-term pairs merged.  :func:`qs_mul_finite` and
 :func:`qs_invert` (Newton's iteration) are thin wrappers over it.  Its
 library callers, and why each stays:
 
@@ -53,8 +54,6 @@ object.
 from __future__ import annotations
 
 import json
-import sys
-from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
@@ -111,6 +110,15 @@ def _add_into(out: dict[int, int], terms: Mapping[int, int], z_shift: int, scale
             out[key] = total
         else:
             del out[key]
+
+
+def _mul_into(out: dict[int, int], terms_a: Mapping[int, int], terms_b: Mapping[int, int]) -> None:
+    """out += terms_a * terms_b in place, the one product loop: one
+    :func:`_add_into` of the larger map per term of the smaller one."""
+    if len(terms_a) > len(terms_b):
+        terms_a, terms_b = terms_b, terms_a
+    for exp, coeff in terms_a.items():
+        _add_into(out, terms_b, exp, coeff)
 
 
 class ZLaurentPoly:
@@ -217,12 +225,8 @@ class ZLaurentPoly:
             )
         if not isinstance(other, ZLaurentPoly):
             return NotImplemented
-        small, big = self._terms, other._terms
-        if len(small) > len(big):
-            small, big = big, small
         out: dict[int, int] = {}
-        for exp, coeff in small.items():
-            _add_into(out, big, exp, coeff)
+        _mul_into(out, self._terms, other._terms)
         return ZLaurentPoly._make(out)
 
     __rmul__ = __mul__
@@ -620,84 +624,6 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
     return a + b
 
 
-# Signed array typecodes by item size; digits this wide are written and
-# read through an array instead of one int.to_bytes call each.
-_ARRAY_CODES = {array(code).itemsize: code for code in "bhilq"}
-
-
-def _digit_size(bound: int) -> int:
-    """Bytes per digit holding any value of magnitude at most ``bound``:
-    the magnitude's bits plus a sign bit, in whole bytes, rounded up to an
-    array item size when one is large enough."""
-    size = bound.bit_length() // 8 + 1
-    return min((item for item in _ARRAY_CODES if item >= size), default=size)
-
-
-def _extent(rows: tuple[ZLaurentPoly, ...]) -> tuple[int, int, int, int]:
-    """(lowest z, highest z, nonzero terms, largest magnitude) of some rows,
-    at least one of them nonzero."""
-    maps = [row._terms for row in rows if row._terms]
-    values = [terms.values() for terms in maps]
-    return (
-        min(map(min, maps)),
-        max(map(max, maps)),
-        sum(map(len, maps)),
-        max(max(map(max, values)), -min(map(min, values))),
-    )
-
-
-def _sign_bits(size: int, count: int) -> int:
-    """The top bit of each of ``count`` digits of ``size`` bytes."""
-    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-
-
-def _pack(rows: tuple[ZLaurentPoly, ...], z_lo: int, stride: int, size: int) -> int:
-    """Rows as one integer: the z^z coefficient of row i is the signed digit
-    at position i * stride + z - z_lo, each digit ``size`` bytes wide."""
-    count = len(rows) * stride
-    code = _ARRAY_CODES.get(size)
-    if code:
-        digits = array(code, bytes(count * size))
-        base = -z_lo
-        for row in rows:
-            for z, c in row._terms.items():
-                digits[base + z] = c
-            base += stride
-        if sys.byteorder == "big":
-            digits.byteswap()
-        raw = digits.tobytes()
-    else:
-        raw = bytearray(count * size)
-        for i, row in enumerate(rows):
-            base = i * stride - z_lo
-            for z, c in row._terms.items():
-                at = (base + z) * size
-                raw[at:at + size] = c.to_bytes(size, "little", signed=True)
-    # raw holds two's complement digits: each set sign bit stands for a
-    # borrow of one from the digit above
-    value = int.from_bytes(raw, "little")
-    return value - ((value & _sign_bits(size, count)) << 1)
-
-
-def _unpack(value: int, size: int, count: int) -> Sequence[int]:
-    """The lowest ``count`` signed digits of a packed integer."""
-    # adding 2^(8 size - 1) to every digit makes each one nonnegative and
-    # carry-free; flipping that bit back leaves each digit's two's complement
-    top = _sign_bits(size, count)
-    low = (value + top) & ((1 << (8 * size * count)) - 1)
-    raw = (low ^ top).to_bytes(size * count, "little")
-    code = _ARRAY_CODES.get(size)
-    if code:
-        digits = array(code, raw)
-        if sys.byteorder == "big":
-            digits.byteswap()
-        return digits
-    return [
-        int.from_bytes(raw[at:at + size], "little", signed=True)
-        for at in range(0, len(raw), size)
-    ]
-
-
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product.
 
@@ -706,34 +632,25 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     unknown coefficient of one factor pairs with a known zero of the
     other below that bound.
 
-    Computed by Kronecker substitution: each factor's (q, z) grid becomes
-    one integer with a signed digit per coefficient, wide enough that no
-    product coefficient can overflow it, and one integer multiply gives
-    every coefficient of the product.  Rows that cannot reach the window
-    are left out.
+    Computed row by row: each pair of nonzero rows (i, j) with i + j inside
+    the window merges its product into row i + j through :func:`_mul_into`,
+    the loop ``ZLaurentPoly`` products run.  Rows that cannot reach the
+    window are never read.
     """
     lo = a.min_exp + b.min_exp
     order = min(a.order + b.min_exp, b.order + a.min_exp)
     width = order - lo
     if width <= 0 or a.is_zero() or b.is_zero():
         return QSeries.zero(order)
-    rows_a, rows_b = a.coeffs[:width], b.coeffs[:width]
-    za_lo, za_hi, count_a, big_a = _extent(rows_a)
-    zb_lo, zb_hi, count_b, big_b = _extent(rows_b)
-    stride = za_hi - za_lo + zb_hi - zb_lo + 1
-    # a product coefficient sums at most min(count_a, count_b) products
-    size = _digit_size(min(count_a, count_b) * big_a * big_b)
-    product = _pack(rows_a, za_lo, stride, size) * _pack(rows_b, zb_lo, stride, size)
-    count = min(width, len(rows_a) + len(rows_b) - 1) * stride
-    digits = _unpack(product, size, count)
-    z_base = za_lo + zb_lo
-    rows = [
-        ZLaurentPoly._make(
-            {z_base + s: c for s, c in enumerate(digits[start:start + stride]) if c}
-        )
-        for start in range(0, count, stride)
-    ]
-    return QSeries(lo, rows, order)
+    rows: list[dict[int, int]] = [{} for _ in range(width)]
+    rows_b = [(j, row._terms) for j, row in enumerate(b.coeffs[:width]) if row._terms]
+    for i, row_a in enumerate(a.coeffs[:width]):
+        if row_a._terms:
+            for j, terms_b in rows_b:
+                if i + j >= width:
+                    break
+                _mul_into(rows[i + j], row_a._terms, terms_b)
+    return QSeries(lo, [ZLaurentPoly._make(r) for r in rows], order)
 
 
 def qs_mul_finite(a: QSeries, factor: Iterable[tuple[int, ZLaurentPoly]]) -> QSeries:

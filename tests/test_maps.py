@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import overgap.maps as maps
 import overgap.partitions as partitions
 from overgap.cli import main
 from overgap.maps import (
@@ -33,6 +34,7 @@ from overgap.partitions import (
     parse_overpartition,
     stats,
 )
+from overgap.qseries import QSeries, ZLaurentPoly
 
 
 def op(text):
@@ -290,6 +292,39 @@ def test_fiber_identity_checker():
         json.dumps(payload)
     with pytest.raises(ValueError):
         verify_fiber_identity(2, 10, "unknown")
+
+
+def test_fiber_aggregate_failure_names_the_coefficient(monkeypatch, capsys):
+    real = maps.gf_from_enumeration
+
+    def bumped(family, t, max_n):
+        # one extra bipartition of 5 with one mark, at t = 3 only
+        series = real(family, t, max_n)
+        if family == "bipartition" and t == 3:
+            series = series + QSeries.from_terms({5: ZLaurentPoly({1: 1})}, max_n + 1)
+        return series
+
+    monkeypatch.setattr(maps, "gf_from_enumeration", bumped)
+    counted = real("bipartition", 3, 8).zq_coeff(5, 1)
+    check = verify_fiber_identity(3, 8, "merge")
+    assert not check.passed
+    assert check.first_difference == (5, 1, counted, counted + 1)
+    assert check.first_failure == (
+        "aggregated fiber census disagrees with the bipartition enumeration for t=3 "
+        f"up to weight 8: at q^5 z^1 the fibers give {counted}, enumeration {counted + 1}"
+    )
+    assert verify_fiber_identity(3, 8, "fold").first_difference is None
+
+    assert main(["verify", "--suite", "fibers", "--t", "2..3", "--max-n", "8"]) == 2
+    entries = json.loads(capsys.readouterr().out)
+    for entry in entries:
+        failed = entry["t"] == 3 and entry["details"]["which"] == "merge"
+        assert entry["pass"] is not failed
+        assert ("first_difference" in entry["details"]) is failed
+    (merged,) = [e["details"] for e in entries if not e["pass"]]
+    assert merged["first_difference"] == {
+        "q": 5, "z": 1, "fibers": str(counted), "enumeration": str(counted + 1)
+    }
 
 
 # -- randomized round trips --------------------------------------------------

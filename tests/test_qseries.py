@@ -856,6 +856,49 @@ def test_mul_kernel_matches_oracle(a, b):
     assert_product_window(qs_mul(a, b), a, b)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # b's window ends first: a's rows at q^4.. lie past the product's
+        (
+            QSeries(0, [zp({0: 1, 1: 2}), zp({}), zp({-2: 3}), zp({0: 1, 5: -1, 6: 1}),
+                        zp({1: 7}), zp({0: 1, 2: 1})], 6),
+            QSeries(0, [zp({0: 1}), zp({1: -1, 3: 2**200})], 4),
+        ),
+        # Laurent windows, zero rows and rows past the window on both sides
+        (
+            QSeries(-3, [zp({-1: 2, 4: -5}), zp({}), zp({0: 2**64, 1: -(2**63)}),
+                         zp({2: 1}), zp({0: 9})], 2),
+            QSeries(2, [zp({}) if k % 3 == 1 else zp({k: 1, -k: -1}) for k in range(9)], 11),
+        ),
+        # a z-free factor, as the transformation's prefactor is
+        (
+            QSeries(1, [zp({0: 1, 1: 1, 3: -2})] * 7, 8),
+            QSeries(-1, [zp({0: -1})] + [zp({0: 3})] * 4, 4),
+        ),
+    ],
+)
+def test_mul_kernel_merges_only_pairs_inside_the_window(monkeypatch, a, b):
+    merged = []
+    merge = qseries._add_into
+
+    def counted(out, terms, z_shift, scale):
+        merged.append(len(terms))
+        merge(out, terms, z_shift, scale)
+
+    monkeypatch.setattr(qseries, "_add_into", counted)
+    product = qs_mul(a, b)
+    width = product.order - (a.min_exp + b.min_exp)
+    assert len(a.coeffs) > width or len(b.coeffs) > width
+    assert sum(merged) == sum(
+        len(ra.items()) * len(rb.items())
+        for i, ra in enumerate(a.coeffs)
+        for j, rb in enumerate(b.coeffs)
+        if i + j < width
+    )
+    assert_product_window(product, a, b)
+
+
 @pytest.mark.parametrize("magnitude", BOUNDARIES)
 @pytest.mark.parametrize("sign", [1, -1])
 def test_mul_kernel_digit_width_boundaries(magnitude, sign):
