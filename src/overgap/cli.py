@@ -351,7 +351,7 @@ def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) ->
                 add(suite, t, order, ok, {k: str(v) for k, v in params.items()})
         elif suite == "chain":
             for t in ts:
-                report = verify_identity_chain(t, order, "tracked")
+                report = verify_identity_chain(t, order)
                 add(suite, t, order, report.passed, report.to_json_dict())
     return entries
 

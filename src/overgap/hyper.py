@@ -35,11 +35,13 @@ kernel; no general inverse is taken.  Each prefactor of lines 3-6 is
 c q^p times a Pochhammer quotient, applied to each side by kernel passes:
 the side is cut to the window a general product with the prefactor would
 have, the kernel divides the quotient in, and c q^p scales and shifts the
-result.  So no prefactor series is built, and the one general product in
-the chain is the transformation's own infinite-product prefactor.  Chain
-line 7, the closed form, is the one line built apart from that kernel
-(from z-columns, in :func:`qseries.bounded_gap_overpartition_gf`), so the
-last link of the chain checks the kernel against another method.
+result.  So no prefactor series is built for lines 3-6, and the one
+general product in the chain is the transformation's: its prefactor
+(e/a)_inf (de/(bc))_inf / ((e)_inf (de/(abc))_inf), one kernel call on
+(e/a)_inf, times the partner series.  Chain line 7, the closed form, is
+the one line built apart from that kernel (from z-columns, in
+:func:`qseries.bounded_gap_overpartition_gf`), so the last link of the
+chain checks the kernel against another method.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from .qseries import (
     QSeries,
     ZLaurentPoly,
     bounded_gap_overpartition_gf,
+    pochhammer,
     pochhammer_infinite,
-    pochhammer_min_exp,
     qs_mul,
     qs_mul_finite,
     qs_pochhammer_ratio,
@@ -208,8 +210,7 @@ def _chu_sides(
     )
     lhs = eval_phi(spec, n + 1, target_order)
     # eval_phi has already rejected c.q_exp < 1, so every factor divides
-    start = QSeries.one(target_order - pochhammer_min_exp(c / a, n))
-    rhs = qs_pochhammer_ratio(start, [(c / a, n)], [(c, n)])
+    rhs = qs_pochhammer_ratio(pochhammer(c / a, n, target_order), (), [(c, n)])
     return lhs, rhs
 
 
@@ -243,13 +244,14 @@ def _transform_sides(
     series = eval_phi(rhs_spec, None, target_order)
     # a Laurent partner series needs the prefactor known that much further
     width = target_order - min(0, series.min_exp)
-    prefactor = qs_mul(
-        pochhammer_infinite(e / a, width),
-        pochhammer_infinite((d * e) / (b * c), width),
-    )
-    # divide out each (p; q)_inf one factor at a time, below the window
+    # (e/a)_inf raises DivergentProduct itself, eval_phi has already
+    # rejected de/(bc) as a denominator of the partner series, and the
+    # kernel checks the two quotient families; factors past the window
+    # are skipped, so each infinite family costs what the window costs
     prefactor = qs_pochhammer_ratio(
-        prefactor, (), [(e, width), ((d * e) / (a * b * c), width)]
+        pochhammer_infinite(e / a, width),
+        [((d * e) / (b * c), width)],
+        [(e, width), ((d * e) / (a * b * c), width)],
     )
     return lhs, qs_mul(prefactor, series)
 
@@ -382,7 +384,6 @@ class ChainReport:
 
     t: int
     order: int
-    z_mode: str
     lines: tuple[LineCheck, ...]
     passed: bool
 
@@ -395,36 +396,20 @@ class ChainReport:
         }
 
 
-_Z_MODES = ("tracked", "zero", "one")
-
-
-def compare_lines(
-    t: int, lines: list[tuple[str, QSeries]], order: int, z_mode: str = "tracked"
-) -> ChainReport:
-    """Pairwise equality of consecutive chain lines up to ``order``.
-
-    With ``z_mode`` "zero" or "one" the marking variable is specialised
-    in every line before comparing; the first line is vacuously true.  A
-    line that differs from the previous one carries the first coefficient
-    where they differ.
+def compare_lines(t: int, lines: list[tuple[str, QSeries]], order: int) -> ChainReport:
+    """Pairwise equality of consecutive chain lines up to ``order``, as
+    series in q and z; the first line is vacuously true.  A line that
+    differs from the previous one carries the first coefficient where
+    they differ.
     """
-    if z_mode not in _Z_MODES:
-        raise ValueError(f"z_mode must be one of {_Z_MODES}")
-    if z_mode == "tracked":
-        values = [series for _, series in lines]
-    else:
-        z_value = 0 if z_mode == "zero" else 1
-        values = [series.subs_z(z_value) for _, series in lines]
     checks = [LineCheck(lines[0][0], True)]
-    for i in range(1, len(lines)):
-        diff = values[i].first_difference(values[i - 1], order)
-        checks.append(LineCheck(lines[i][0], diff is None, diff))
+    for (_, previous), (label, series) in zip(lines, lines[1:]):
+        diff = series.first_difference(previous, order)
+        checks.append(LineCheck(label, diff is None, diff))
     passed = all(check.equal_to_previous for check in checks)
-    return ChainReport(t, order, z_mode, tuple(checks), passed)
+    return ChainReport(t, order, tuple(checks), passed)
 
 
-def verify_identity_chain(
-    t: int, target_order: int, z_mode: str = "tracked"
-) -> ChainReport:
+def verify_identity_chain(t: int, target_order: int) -> ChainReport:
     """Compute the chain at bound t and compare consecutive lines."""
-    return compare_lines(t, chain_lines(t, target_order), target_order, z_mode)
+    return compare_lines(t, chain_lines(t, target_order), target_order)

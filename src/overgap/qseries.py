@@ -17,11 +17,9 @@ Every Pochhammer product and quotient runs through one kernel,
 :func:`qs_pochhammer_ratio`: it multiplies by some (b; q)_n and divides
 by some (c; q)_m, copying the rows once and making one in-place pass
 over them per factor ``(1 - a*q^k)``, which adds a shifted, signed row
-into each row.  :func:`pochhammer` and the binomial kernels
-:func:`qs_mul_one_minus` and :func:`qs_div_one_minus` are single calls
-into it.  A factor whose q-exponent reaches the window's width changes
-nothing and is skipped: the cost follows the window, not the length of
-the product.
+into each row.  :func:`pochhammer` is a single call into it.  A factor
+whose q-exponent reaches the window's width changes nothing and is
+skipped: the cost follows the window, not the length of the product.
 The bounded-gap closed forms are the one Pochhammer quotient built
 apart from that kernel: the finite q-binomial theorem splits
 (-zq; q)_t / (q; q)_t into z^k columns, each a dense list of integers
@@ -36,9 +34,10 @@ the number of z-term pairs merged.  :func:`qs_mul_finite` and
 :func:`qs_invert` (Newton's iteration) are thin wrappers over it.  Its
 library callers, and why each stays:
 
-- ``hyper._transform_sides``, two calls: the transformation's
-  infinite-product prefactor, whose four infinite families would each
-  cost ``width`` kernel passes (measured slower);
+- ``hyper._transform_sides``, one call: the transformation's
+  infinite-product prefactor times its partner series, since applying
+  the four infinite families to the series would cost ``width`` kernel
+  passes each (measured slower); the prefactor itself is one kernel call;
 - :func:`qs_mul_finite`, chain line 2's step (the benchmark's tests
   count its product pairs);
 - :func:`qs_invert`, kept for callers; no library path divides with it;
@@ -70,8 +69,6 @@ __all__ = [
     "qs_add",
     "qs_mul",
     "qs_invert",
-    "qs_div_one_minus",
-    "qs_mul_one_minus",
     "qs_mul_finite",
     "pochhammer",
     "pochhammer_infinite",
@@ -776,19 +773,6 @@ def qs_pochhammer_ratio(
                 if src:
                     _add_into(rows[i], src, z_shift, sign)
     return QSeries(a.min_exp + low, [ZLaurentPoly._make(r) for r in rows], a.order + low)
-
-
-def qs_mul_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
-    """Multiply by (1 - mono), for a q-exponent of any sign: (mono; q)_1.
-
-    The result window is the width of ``a``'s, shifted by min(0, mono.q_exp).
-    """
-    return qs_pochhammer_ratio(a, [(mono, 1)], ())
-
-
-def qs_div_one_minus(a: QSeries, mono: QMonomial) -> QSeries:
-    """Divide by (1 - mono), mono.q_exp >= 1: (mono; q)_1, keeping the window."""
-    return qs_pochhammer_ratio(a, (), [(mono, 1)])
 
 
 def pochhammer(a: QMonomial, n: int, target_order: int) -> QSeries:

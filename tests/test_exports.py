@@ -32,6 +32,19 @@ def test_package_exports_exactly_its_re_exports():
     assert set(overgap.__all__) == re_exported | {"__version__"}
 
 
+def test_modules_import_only_exported_names_from_each_other():
+    src = pathlib.Path(overgap.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                exported = MODULES[node.module].__all__
+                for alias in node.names:
+                    assert alias.name in exported, (
+                        f"{path.name} imports {alias.name}, "
+                        f"which {node.module}.__all__ does not list"
+                    )
+
+
 def test_package_imports_only_the_standard_library():
     src = pathlib.Path(overgap.__file__).parent
     for path in sorted(src.glob("*.py")):

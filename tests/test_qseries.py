@@ -26,11 +26,9 @@ from overgap.qseries import (
     pochhammer,
     pochhammer_infinite,
     qs_add,
-    qs_div_one_minus,
     qs_invert,
     qs_mul,
     qs_mul_finite,
-    qs_mul_one_minus,
 )
 
 from helpers import (
@@ -313,16 +311,16 @@ def test_invert_shifted_valuation():
 
 
 def test_div_one_minus_is_geometric():
-    quotient = qs_div_one_minus(QSeries.one(6), Q(2))
+    quotient = div_one_minus(QSeries.one(6), Q(2))
     for n in range(6):
         assert quotient.zq_coeff(n, 0) == (1 if n % 2 == 0 else 0)
-    tracked = qs_div_one_minus(QSeries.one(5), NEG_ZQ)
+    tracked = div_one_minus(QSeries.one(5), NEG_ZQ)
     assert_series_matches(
         tracked,
         {(0, 0): 1, (1, 1): -1, (2, 2): 1, (3, 3): -1, (4, 4): 1},
     )
     with pytest.raises(DivergentProduct):
-        qs_div_one_minus(QSeries.one(4), QMonomial(1, 1, 0))
+        div_one_minus(QSeries.one(4), QMonomial(1, 1, 0))
 
 
 def test_mul_finite_shifts_window():
@@ -412,13 +410,21 @@ def div_pochhammer(a, b, n):
     return qseries.qs_pochhammer_ratio(a, (), [(b, n)])
 
 
+def mul_one_minus(a, mono):
+    return qseries.qs_pochhammer_ratio(a, [(mono, 1)], ())
+
+
+def div_one_minus(a, mono):
+    return qseries.qs_pochhammer_ratio(a, (), [(mono, 1)])
+
+
 @pytest.mark.parametrize("q_exp", [-2, 1, 2, 3, 4, 5, 6])
 def test_mul_pochhammer_stops_at_the_window(monkeypatch, q_exp):
     # the window [2, 7) is 5 wide and never widens, so only the factors
     # (1 - b q^k) with b.q_exp + k < 5 can change the series
     b = QMonomial(-1, 1, q_exp)
     needed = max(0, 5 - q_exp)
-    expected = one_factor_at_a_time(qs_mul_one_minus, WINDOW_5, b, needed)
+    expected = one_factor_at_a_time(mul_one_minus, WINDOW_5, b, needed)
     merges = count_row_merges(monkeypatch)
     assert mul_pochhammer(WINDOW_5, b, needed) == expected
     merged = len(merges)
@@ -430,7 +436,7 @@ def test_mul_pochhammer_stops_at_the_window(monkeypatch, q_exp):
 def test_div_pochhammer_stops_at_the_window(monkeypatch, q_exp):
     b = QMonomial(-1, 1, q_exp)
     needed = max(0, 5 - q_exp)
-    expected = one_factor_at_a_time(qs_div_one_minus, WINDOW_5, b, needed)
+    expected = one_factor_at_a_time(div_one_minus, WINDOW_5, b, needed)
     merges = count_row_merges(monkeypatch)
     assert div_pochhammer(WINDOW_5, b, needed) == expected
     merged = len(merges)
@@ -441,8 +447,8 @@ def test_div_pochhammer_stops_at_the_window(monkeypatch, q_exp):
 def test_binomial_kernels_past_the_window_return_the_input():
     for step in (5, 6, 40):
         mono = QMonomial(-1, 1, step)
-        assert qs_mul_one_minus(WINDOW_5, mono) is WINDOW_5
-        assert qs_div_one_minus(WINDOW_5, mono) is WINDOW_5
+        assert mul_one_minus(WINDOW_5, mono) is WINDOW_5
+        assert div_one_minus(WINDOW_5, mono) is WINDOW_5
         ratio = qseries.qs_pochhammer_ratio(WINDOW_5, [(mono, 3)], [(mono, 2), (mono, 0)])
         assert ratio is WINDOW_5
 
@@ -488,12 +494,12 @@ def _legacy_overpartition_gf(t, order, z_tracked):
     """The closed form through a general inverse and product."""
     mark = QMonomial(-1, 1 if z_tracked else 0, 1)
     inverse = qs_invert(pochhammer(Q(1), t, order), order)
-    return qs_div_one_minus(qs_mul(pochhammer(mark, t, order), inverse) - 1, Q(t))
+    return div_one_minus(qs_mul(pochhammer(mark, t, order), inverse) - 1, Q(t))
 
 
 def _legacy_partition_gf(t, order):
     inverse = qs_invert(pochhammer(Q(1), t, order), order)
-    return qs_div_one_minus(inverse - 1, Q(t))
+    return div_one_minus(inverse - 1, Q(t))
 
 
 @pytest.mark.parametrize("t", list(range(1, 13)) + [20, 40])
@@ -511,7 +517,7 @@ def _pochhammer_route_gf(t, order, z):
     before the z-column builders: one ratio, then one geometric division."""
     num = [] if z == "zero" else [(QMonomial(-1, 1 if z == "tracked" else 0, 1), t)]
     ratio = qseries.qs_pochhammer_ratio(QSeries.one(order), num, [(Q(1), t)])
-    return qs_div_one_minus(ratio - 1, Q(t))
+    return div_one_minus(ratio - 1, Q(t))
 
 
 def _column_gf(t, order, z):
@@ -722,7 +728,7 @@ monomials = st.builds(
 @example(QSeries(1, [zp({0: 1}), zp({1: 4})], 4), QMonomial(-1, 2, 1))
 def test_mul_one_minus_matches_mul_finite(a, mono):
     expected = qs_mul_finite(a, [(0, zp({0: 1})), (mono.q_exp, -mono.z_part())])
-    assert qs_mul_one_minus(a, mono) == expected
+    assert mul_one_minus(a, mono) == expected
 
 
 @st.composite
@@ -1069,7 +1075,7 @@ def test_series_difference_is_signed_sum(a, b, c):
 
 
 def legacy_div_one_minus(a, mono):
-    """The row loop qs_div_one_minus used before the shared merge."""
+    """The row loop that divided by one factor (1 - mono) before the shared merge."""
     step = mono.q_exp
     if a.is_zero():
         return a
@@ -1091,7 +1097,7 @@ def legacy_div_one_minus(a, mono):
 
 
 def legacy_mul_one_minus(a, mono):
-    """The row loop qs_mul_one_minus used before the shared merge."""
+    """The row loop that multiplied by one factor (1 - mono) before the shared merge."""
     step = mono.q_exp
     shift = min(0, step)
     if a.is_zero():
@@ -1132,7 +1138,7 @@ def binomials(q_steps):
 @example(QSeries(-2, [zp({0: 3}), zp({}), zp({2: 1})], 1), QMonomial(-1, -1, -3))
 @example(QSeries(1, [zp({-1: 2})], 3), QMonomial(1, 2, 4))
 def test_mul_one_minus_matches_row_loop(a, mono):
-    assert qs_mul_one_minus(a, mono) == legacy_mul_one_minus(a, mono)
+    assert mul_one_minus(a, mono) == legacy_mul_one_minus(a, mono)
 
 
 @given(sparse_series(), binomials(st.integers(min_value=1, max_value=4)))
@@ -1140,7 +1146,7 @@ def test_mul_one_minus_matches_row_loop(a, mono):
 @example(QSeries.one(12), QMonomial(-1, 2, 3))
 @example(QSeries(-4, [zp({-1: 5, 2: -1}), zp({}), zp({0: 2**70})], 7), QMonomial(1, -1, 2))
 def test_div_one_minus_matches_row_loop(a, mono):
-    assert qs_div_one_minus(a, mono) == legacy_div_one_minus(a, mono)
+    assert div_one_minus(a, mono) == legacy_div_one_minus(a, mono)
 
 
 @given(
