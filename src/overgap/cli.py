@@ -312,6 +312,15 @@ def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) ->
             {"suite": suite, "t": t, "order": order, "pass": ok, "details": details}
         )
 
+    def add_identity(suite: str, t: int, diff, details: dict, sides: tuple[str, str]) -> None:
+        # diff is the check's first difference, None when the sides agree
+        if diff:
+            n, m, lhs, rhs = diff
+            details["first_difference"] = {
+                "q": n, "z": m, sides[0]: str(lhs), sides[1]: str(rhs)
+            }
+        add(suite, t, order, diff is None, details)
+
     q1 = QMonomial.q_power(1)
     neg_z = QMonomial(-1, 1, 0)
     neg_zq = QMonomial(-1, 1, 1)
@@ -336,8 +345,9 @@ def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) ->
                     add(suite, t, max_n, check.passed, check.to_json_dict())
         elif suite == "chu":
             for t in ts:
-                ok = check_q_chu_vandermonde(neg_z, neg_zq, t, order)
-                add(suite, t, order, ok, {"a": str(neg_z), "c": str(neg_zq), "n": t})
+                diff = check_q_chu_vandermonde(neg_z, neg_zq, t, order, locate=True)
+                details = {"a": str(neg_z), "c": str(neg_zq), "n": t}
+                add_identity(suite, t, diff, details, ("series", "sum"))
         elif suite == "transform":
             for t in ts:
                 params = dict(
@@ -347,8 +357,9 @@ def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) ->
                     d=QMonomial(-1, 1, 2),
                     e=QMonomial.q_power(t + 2),
                 )
-                ok = check_3phi2_transform(**params, target_order=order)
-                add(suite, t, order, ok, {k: str(v) for k, v in params.items()})
+                diff = check_3phi2_transform(**params, target_order=order, locate=True)
+                details = {k: str(v) for k, v in params.items()}
+                add_identity(suite, t, diff, details, ("series", "transformed"))
         elif suite == "chain":
             for t in ts:
                 report = verify_identity_chain(t, order)
@@ -360,6 +371,16 @@ def _cmd_verify(args) -> int:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     order = args.order if args.order is not None else _default_order()
     entries = _verify_entries(suites, args.t, order, args.max_n)
+    for entry in entries:
+        diff = entry["details"].get("first_difference")
+        if diff is not None:
+            values = ", ".join(f"{k} {v}" for k, v in diff.items() if k not in ("q", "z"))
+            print(
+                f"verify failed: {entry['suite']} at t={entry['t']}, order "
+                f"{entry['order']}; first difference at q^{diff['q']} z^{diff['z']}: "
+                f"{values}",
+                file=sys.stderr,
+            )
     _emit(json.dumps(entries, indent=2) + "\n", args.output)
     return 0 if all(entry["pass"] for entry in entries) else 2
 

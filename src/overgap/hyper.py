@@ -10,16 +10,18 @@ Evaluation walks the terms with exact ratio updates: each step is one
 call to :func:`~overgap.qseries.qs_pochhammer_ratio`, which multiplies
 by the new numerator factors (1 - a q^(n-1)) and divides out the new
 denominator factors, so every term is a window-true
-:class:`~overgap.qseries.QSeries` and the partial sum is exact to the
-requested order.  Each term is kept past the order only as far as the
-lowest window of the terms after it falls below its own, so no pass
-computes a coefficient that no later term reads, and the walk stops at
-the first term that is zero on its window.  A parameter shared by
-numerator and denominator (q included, for the (q; q)_n factor)
-contributes the same factor to both and is skipped.  A numerator
-parameter q^(-k) (sign +1, no z) terminates the series after k + 1
-terms; without one, the argument must carry a positive q-exponent so
-that later terms fall below the order.
+:class:`~overgap.qseries.QSeries`.  The terms stream into
+:func:`~overgap.qseries.qs_sum`, which merges each row into the sum in
+place, so the partial sum is exact to the requested order, no list of
+terms is kept and no series is added to another.  Each term is kept past
+the order only as far as the lowest window of the terms after it falls
+below its own, so no pass computes a coefficient that no later term
+reads, and the walk stops at the first term that is zero on its window.
+A parameter shared by numerator and denominator (q included, for the
+(q; q)_n factor) contributes the same factor to both and is skipped once
+for the whole series.  A numerator parameter q^(-k) (sign +1, no z)
+terminates the series after k + 1 terms; without one, the argument must
+carry a positive q-exponent so that later terms fall below the order.
 
 The module also packages three verification routines: the classical
 q-Chu-Vandermonde summation, a three-parameter series transformation,
@@ -29,7 +31,8 @@ are the two sides of the transformation at (q, q, -zq^(t+1); -zq^2,
 q^(t+2)) and lines 5-6 the two sides of q-Chu-Vandermonde at (-z, -zq,
 t), each times its prefactor; the chain and the two checks compute those
 sides with the same code.  Chain line 2 walks its running term by the
-same rule: no later term reads it past the order.  Every Pochhammer
+same rule: no later term reads it past the order.  Chain lines 1 and 2
+stream their terms into the same in-place sum.  Every Pochhammer
 quotient, finite or infinite, is divided out in place by the same
 kernel; no general inverse is taken.  Each prefactor of lines 3-6 is
 c q^p times a Pochhammer quotient, applied to each side by kernel passes:
@@ -37,9 +40,12 @@ the side is cut to the window a general product with the prefactor would
 have, the kernel divides the quotient in, and c q^p scales and shifts the
 result.  So no prefactor series is built for lines 3-6, and the one
 general product in the chain is the transformation's: its prefactor
-(e/a)_inf (de/(bc))_inf / ((e)_inf (de/(abc))_inf), one kernel call on
-(e/a)_inf, times the partner series.  Chain line 7, the closed form, is
-the one line built apart from that kernel (from z-columns, in
+(e/a)_inf (de/(bc))_inf / ((e)_inf (de/(abc))_inf), one kernel call that
+takes all four infinite families on the one series, times the partner
+series.  The kernel cancels the factors the families share, so at the
+chain's parameters the prefactor telescopes to (1 - q^(t+1)) / (1 - q)
+and costs two passes.  Chain line 7, the closed form, is the one line
+built apart from that kernel (from z-columns, in
 :func:`qseries.bounded_gap_overpartition_gf`), so the last link of the
 chain checks the kernel against another method.
 """
@@ -48,18 +54,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .qseries import (
+    DivergentProduct,
     QMonomial,
     QSeries,
     ZLaurentPoly,
     bounded_gap_overpartition_gf,
     pochhammer,
-    pochhammer_infinite,
     qs_mul,
     qs_mul_finite,
     qs_pochhammer_ratio,
+    qs_sum,
 )
 
 __all__ = [
@@ -167,15 +174,24 @@ def eval_phi(
         terms = min(terms, index + 1)
     if terms <= 0:
         return QSeries.zero(target_order)
+    return qs_sum(_phi_terms(spec, terms, target_order), target_order)
+
+
+def _phi_terms(
+    spec: HypergeometricSpec, terms: int, target_order: int
+) -> Iterator[QSeries]:
+    """The first ``terms`` terms of the series, each kept past the order as
+    far as :func:`_term_reach` says, up to the first that is zero."""
     reach = _term_reach(spec, terms)
     term = QSeries.one(max(1, target_order + reach[0]))
+    yield term
     shift = spec.exponent_shift
     arg = spec.argument
-    total = term.truncate(target_order)
     # term n gains a factor (1 - p q^(n-1)) for each numerator parameter p
     # and loses one for each denominator parameter, q included for (q; q)_n;
-    # a parameter on both sides cancels for every n.  Denominator factors
-    # keep the window, so skipping a pair leaves every term unchanged.
+    # a parameter on both sides cancels for every n, so it is dropped once
+    # here rather than by the kernel at every term; denominator factors
+    # keep the window, so dropping a pair leaves every term unchanged
     numerator = list(spec.numerator)
     denominator = [QMonomial.q_power(1), *spec.denominator]
     for param in spec.numerator:
@@ -194,9 +210,8 @@ def eval_phi(
             raise AssertionError("hypergeometric window accounting failed")
         term = term.truncate(target_order + reach[n])
         if term.is_zero():
-            break
-        total = total + term
-    return total
+            return
+        yield term
 
 
 def _chu_sides(
@@ -215,16 +230,19 @@ def _chu_sides(
 
 
 def check_q_chu_vandermonde(
-    a: QMonomial, c: QMonomial, n: int, target_order: int
-) -> bool:
+    a: QMonomial, c: QMonomial, n: int, target_order: int, *, locate: bool = False
+) -> bool | tuple[int, int, int, int] | None:
     """The q-Chu-Vandermonde summation, both sides computed independently.
 
     The terminating series with numerator parameters (a, q^(-n)),
     denominator parameter c and argument c q^n / a must equal
-    (c/a; q)_n / (c; q)_n to the requested order.
+    (c/a; q)_n / (c; q)_n to the requested order.  With ``locate`` the
+    result is the first coefficient where they differ instead, as
+    ``(q_exp, z_exp, series, sum)``, or None when they agree.
     """
     lhs, rhs = _chu_sides(a, c, n, target_order)
-    return lhs.eq_up_to(rhs, target_order)
+    diff = lhs.first_difference(rhs, target_order)
+    return diff if locate else diff is None
 
 
 def _transform_sides(
@@ -244,13 +262,18 @@ def _transform_sides(
     series = eval_phi(rhs_spec, None, target_order)
     # a Laurent partner series needs the prefactor known that much further
     width = target_order - min(0, series.min_exp)
-    # (e/a)_inf raises DivergentProduct itself, eval_phi has already
-    # rejected de/(bc) as a denominator of the partner series, and the
-    # kernel checks the two quotient families; factors past the window
-    # are skipped, so each infinite family costs what the window costs
+    if (e / a).q_exp < 1:
+        raise DivergentProduct(
+            f"(e/a; q)_inf needs e/a's q-exponent >= 1 for coefficientwise "
+            f"convergence, got {(e / a).q_exp}"
+        )
+    # eval_phi has already rejected de/(bc) as a denominator of the partner
+    # series, and the kernel checks the two quotient families.  It skips
+    # the factors past the window and cancels those the families share: at
+    # the chain's parameters the prefactor is (1 - q^(t+1)) / (1 - q)
     prefactor = qs_pochhammer_ratio(
-        pochhammer_infinite(e / a, width),
-        [((d * e) / (b * c), width)],
+        QSeries.one(width) if width > 0 else QSeries.zero(width),
+        [(e / a, width), ((d * e) / (b * c), width)],
         [(e, width), ((d * e) / (a * b * c), width)],
     )
     return lhs, qs_mul(prefactor, series)
@@ -263,19 +286,42 @@ def check_3phi2_transform(
     d: QMonomial,
     e: QMonomial,
     target_order: int,
-) -> bool:
+    *,
+    locate: bool = False,
+) -> bool | tuple[int, int, int, int] | None:
     """A transformation between two series with three numerator parameters.
 
     The series with parameters (a, b, c; d, e) and argument de/(abc) must
     equal the series with parameters (a, d/b, d/c; d, de/(bc)) and
     argument e/a, multiplied by the infinite-product prefactor
-    (e/a)_inf (de/(bc))_inf / ((e)_inf (de/(abc))_inf).
+    (e/a)_inf (de/(bc))_inf / ((e)_inf (de/(abc))_inf).  With ``locate``
+    the result is the first coefficient where they differ instead, as
+    ``(q_exp, z_exp, series, transformed)``, or None when they agree.
     """
     lhs, rhs = _transform_sides(a, b, c, d, e, target_order)
-    return lhs.eq_up_to(rhs, target_order)
+    diff = lhs.first_difference(rhs, target_order)
+    return diff if locate else diff is None
 
 
 # -- the derivation chain ----------------------------------------------------
+
+
+def _quotient_terms(term: QSeries, t: int, order: int) -> Iterator[QSeries]:
+    """Chain line 2's terms from its first, r = 1, up to the first zero one:
+    term r+1 is term r times q (1 - q^r) (1 - zq^(r+t)) / ((1 - q^(r+t+1))
+    (1 + zq^(r+1)))."""
+    r = 1
+    while not term.is_zero():
+        yield term
+        # q (1 - q^r) lifts the window by one, and nothing reads past the
+        # order; cut there, the term is zero after order - 1 steps
+        term = qs_mul_finite(term, [(1, _ONE), (r + 1, _MINUS_ONE)]).truncate(order)
+        term = qs_pochhammer_ratio(
+            term,
+            [(QMonomial(-1, 1, r + t), 1)],
+            [(QMonomial.q_power(r + t + 1), 1), (QMonomial(-1, 1, r + 1), 1)],
+        )
+        r += 1
 
 
 def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
@@ -302,31 +348,21 @@ def chain_lines(t: int, target_order: int) -> list[tuple[str, QSeries]]:
 
     # 1: members grouped by smallest part r; the r-th summand is
     #    (1+z) q^r prod_{j=1}^{t-1} (1 + z q^{r+j}) / prod_{j=0}^{t} (1 - q^{r+j})
-    acc = QSeries.zero(order)
-    for r in range(1, order):
-        summand = QSeries.from_terms({r: _ONE_PLUS_Z}, order)
-        acc = acc + qs_pochhammer_ratio(
-            summand, [(QMonomial(-1, 1, r + 1), t - 1)], [(QMonomial.q_power(r), t + 1)]
+    summands = (
+        qs_pochhammer_ratio(
+            QSeries.from_terms({r: _ONE_PLUS_Z}, order),
+            [(QMonomial(-1, 1, r + 1), t - 1)],
+            [(QMonomial.q_power(r), t + 1)],
         )
-    lines.append(("smallest_part_sum", acc))
+        for r in range(1, order)
+    )
+    lines.append(("smallest_part_sum", qs_sum(summands, order)))
 
     # 2: the same sum with the factors bundled into Pochhammer quotients:
     #    (1+z) sum_{r>=1} q^r (q)_{r-1} (-zq)_{r+t-1} / ((q)_{r+t} (-zq)_r)
     neg_zq_t, den_3 = [(neg_zq, t)], [(q1, t + 1), (neg_zq, 1)]
-    term = qs_pochhammer_ratio(q_term, neg_zq_t, den_3)
-    total = QSeries.zero(order)
-    r = 1
-    while not term.is_zero():
-        total = total + term
-        # q (1 - q^r) lifts the window by one, and nothing reads past the
-        # order; cut there, the term is zero after order - 1 steps
-        term = qs_mul_finite(term, [(1, _ONE), (r + 1, _MINUS_ONE)]).truncate(order)
-        term = qs_pochhammer_ratio(
-            term,
-            [(QMonomial(-1, 1, r + t), 1)],
-            [(QMonomial.q_power(r + t + 1), 1), (QMonomial(-1, 1, r + 1), 1)],
-        )
-        r += 1
+    first = qs_pochhammer_ratio(q_term, neg_zq_t, den_3)
+    total = qs_sum(_quotient_terms(first, t, order), order)
     lines.append(("pochhammer_quotient_sum", total * _ONE_PLUS_Z))
 
     # 3, 4: (1+z) q (-zq)_t / ((q)_{t+1} (1+zq)), line 2's first term times

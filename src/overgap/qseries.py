@@ -11,7 +11,10 @@ about coefficients that are actually known.
 Every merge of z-term maps, in sums, differences, polynomial and series
 products and Pochhammer passes alike, goes through one loop,
 ``_add_into``, which adds a scaled, z-shifted term map into a row in
-place and drops the coefficients that cancel.
+place and drops the coefficients that cancel.  :func:`qs_sum` streams any
+number of series into one row dict per q-exponent through it, so a
+running sum copies no row and keeps no term; every sum of terms in
+``hyper`` is one such call.
 
 Every Pochhammer product and quotient runs through one kernel,
 :func:`qs_pochhammer_ratio`: it multiplies by some (b; q)_n and divides
@@ -20,6 +23,10 @@ over them per factor ``(1 - a*q^k)``, which adds a shifted, signed row
 into each row.  :func:`pochhammer` is a single call into it.  A factor
 whose q-exponent reaches the window's width changes nothing and is
 skipped: the cost follows the window, not the length of the product.
+A factor that a numerator and a denominator family share (same sign,
+z-exponent and q-exponent) cancels before any pass, so a quotient of
+infinite products costs what its telescoped form does:
+(a; q)_inf / (a*q^k; q)_inf is the k passes of (a; q)_k.
 The bounded-gap closed forms are the one Pochhammer quotient built
 apart from that kernel: the finite q-binomial theorem splits
 (-zq; q)_t / (q; q)_t into z^k columns, each a dense list of integers
@@ -35,9 +42,9 @@ the number of z-term pairs merged.  :func:`qs_mul_finite` and
 library callers, and why each stays:
 
 - ``hyper._transform_sides``, one call: the transformation's
-  infinite-product prefactor times its partner series, since applying
-  the four infinite families to the series would cost ``width`` kernel
-  passes each (measured slower); the prefactor itself is one kernel call;
+  infinite-product prefactor times its partner series; the prefactor is
+  one kernel call on all four infinite families, whose shared factors
+  cancel;
 - :func:`qs_mul_finite`, chain line 2's step (the benchmark's tests
   count its product pairs);
 - :func:`qs_invert`, kept for callers; no library path divides with it;
@@ -53,6 +60,7 @@ object.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
@@ -67,6 +75,7 @@ __all__ = [
     "QMonomial",
     "QSeries",
     "qs_add",
+    "qs_sum",
     "qs_mul",
     "qs_invert",
     "qs_mul_finite",
@@ -621,6 +630,38 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
     return a + b
 
 
+def qs_sum(terms: Iterable[QSeries], order: int) -> QSeries:
+    """The sum of ``terms``, each known at least to ``order``, on the window
+    [lowest min_exp, order): ``==`` the left fold of ``+`` from the zero
+    series of that order.
+
+    The terms are streamed: each row merges into one row dict per
+    q-exponent through :func:`_add_into`, in place, and one series is built
+    at the end, so no partial sum is copied and no term is kept.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for term in terms:
+        if term.order < order:
+            raise InsufficientOrder(
+                f"a term known to order {term.order} cannot be summed to order {order}"
+            )
+        for exp, coeff in zip(range(term.min_exp, order), term.coeffs):
+            if coeff._terms:
+                row = rows.get(exp)
+                if row is None:
+                    rows[exp] = dict(coeff._terms)
+                else:
+                    _add_into(row, coeff._terms, 0, 1)
+    if not rows:
+        return QSeries.zero(order)
+    lo = min(rows)
+    return QSeries(
+        lo,
+        [ZLaurentPoly._make(rows[e]) if e in rows else _Z_ZERO for e in range(lo, max(rows) + 1)],
+        order,
+    )
+
+
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product.
 
@@ -722,6 +763,32 @@ def pochhammer_min_exp(a: QMonomial, n: int) -> int:
     return sum(a.q_exp + k for k in range(min(n, -a.q_exp)))
 
 
+def _factors(families: Sequence[tuple[QMonomial, int]]) -> list[tuple[int, int, int]]:
+    """The factors (1 - b*q^s) of the families, as (sign, z_exp, s) keys."""
+    return [(b.sign, b.z_exp, s) for b, n in families for s in range(b.q_exp, b.q_exp + n)]
+
+
+def _without(
+    families: Sequence[tuple[QMonomial, int]], drop: Counter
+) -> list[tuple[QMonomial, int]]:
+    """The families with ``drop``'s counts of their factors taken out,
+    from the first family on; a family keeps its place, as the runs of
+    factors left around those taken out."""
+    kept = []
+    for b, n in families:
+        start, end = b.q_exp, b.q_exp + n
+        for s in range(start, end):
+            key = (b.sign, b.z_exp, s)
+            if drop[key]:
+                drop[key] -= 1
+                if s > start:
+                    kept.append((QMonomial(b.sign, b.z_exp, start), s - start))
+                start = s + 1
+        if end > start:
+            kept.append((QMonomial(b.sign, b.z_exp, start), end - start))
+    return kept
+
+
 def qs_pochhammer_ratio(
     a: QSeries,
     num: Sequence[tuple[QMonomial, int]],
@@ -730,15 +797,22 @@ def qs_pochhammer_ratio(
     """Multiply by (b; q)_n for each (b, n) in ``num`` and divide by
     (c; q)_m for each (c, m) in ``den``, which needs every c.q_exp >= 1.
 
-    The rows are copied once and every factor (1 - b*q^s) is one in-place
-    pass over them.  A product pass adds -b * row (e - s) into row e, each
-    row read before it is written: downward for s > 0, upward for s < 0,
-    from a snapshot for s = 0.  A negative s lowers the window by -s and
-    keeps its width, so the rows are laid once from the summed negative
-    exponents and each such pass drops the top -s rows.  The quotient
-    passes then run upward, adding c * row (e - s), already divided, into
-    row e.  Factors whose q-exponent reaches the window's width change
-    nothing and are skipped; with none left, ``a`` is returned.
+    Factors whose q-exponent reaches the window's width change nothing and
+    are skipped.  A factor (1 - b*q^s) that a numerator and a denominator
+    family share (same sign, z-exponent and s) cancels before any pass; a
+    family split by the cancelled factors keeps its place as its runs.  So
+    a quotient of infinite products costs what its telescoped form does:
+    (a; q)_inf / (a*q^k; q)_inf is the k passes of (a; q)_k.  Every shared
+    s is at least 1, so the window stays; with no factor left, ``a`` is
+    returned.
+
+    The rows are copied once and every factor left is one in-place pass
+    over them.  A product pass adds -b * row (e - s) into row e, each row
+    read before it is written: downward for s > 0, upward for s < 0, from a
+    snapshot for s = 0.  A negative s lowers the window by -s and keeps its
+    width, so the rows are laid once from the summed negative exponents and
+    each such pass drops the top -s rows.  The quotient passes then run
+    upward, adding c * row (e - s), already divided, into row e.
     """
     for c, m in den:
         if m > 0 and c.q_exp < 1:
@@ -748,6 +822,10 @@ def qs_pochhammer_ratio(
     width = a.order - a.min_exp
     num = [(b, min(n, width - b.q_exp)) for b, n in num]
     den = [(c, min(m, width - c.q_exp)) for c, m in den]
+    num_factors, den_factors = _factors(num), _factors(den)
+    if not set(num_factors).isdisjoint(den_factors):
+        shared = Counter(num_factors) & Counter(den_factors)
+        num, den = _without(num, shared.copy()), _without(den, shared)
     if all(n <= 0 for _, n in num + den):
         return a
     # the negative factors lower the window by -low: lay a's rows that far up

@@ -12,7 +12,7 @@ import overgap.cli as cli
 import overgap.hyper as hyper
 from overgap.cli import main
 from overgap.partitions import Bipartition, iter_bounded_parts
-from overgap.qseries import QSeries, ZLaurentPoly, bounded_gap_overpartition_gf
+from overgap.qseries import QMonomial, QSeries, ZLaurentPoly, bounded_gap_overpartition_gf
 
 TABLE_T3 = """\
 n  m=0  m=1  m=2
@@ -402,6 +402,39 @@ def test_verify_chain_failure_names_the_coefficient(capsys, monkeypatch):
         None, None, None,
         {"q": n, "z": m, "line": str(line_value), "previous": str(previous_value)},
     ]
+
+
+@pytest.mark.parametrize(
+    "suite, sides, other",
+    [("chu", "_chu_sides", "sum"), ("transform", "_transform_sides", "transformed")],
+)
+def test_verify_identity_failure_names_the_coefficient(capsys, monkeypatch, suite, sides, other):
+    # one coefficient of the right side bumped at t = 3 only: the chu
+    # sides take (a, c, n, order) with n = t, the transform's (a, ..., e,
+    # order) with e = q^(t+2)
+    build, seen = getattr(hyper, sides), []
+
+    def bumped(*args):
+        lhs, rhs = build(*args)
+        if args[-2] in (3, QMonomial.q_power(5)):
+            seen.append(lhs.zq_coeff(5, 1))
+            rhs = rhs + QSeries.from_terms({5: ZLaurentPoly({1: 1})}, rhs.order)
+        return lhs, rhs
+
+    monkeypatch.setattr(hyper, sides, bumped)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--t", "2..3", "--order", "9")
+    assert code == 2
+    passed, failed = json.loads(out)
+    assert passed["pass"] is True and "first_difference" not in passed["details"]
+    [value] = seen
+    assert failed["pass"] is False
+    assert failed["details"]["first_difference"] == {
+        "q": 5, "z": 1, "series": str(value), other: str(value + 1)
+    }
+    assert err == (
+        f"verify failed: {suite} at t=3, order 9; first difference at q^5 z^1: "
+        f"series {value}, {other} {value + 1}\n"
+    )
 
 
 def test_verify_gf_failure_names_the_coefficient(capsys, monkeypatch):

@@ -216,6 +216,43 @@ def test_transform_rejects_what_its_factors_reject():
         check_3phi2_transform(Q(1), Q(-1), Q(3), Q(1), Q(2), 12)
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_transform_at_the_cli_parameters_on_an_empty_window(order):
+    # the prefactor starts from the zero series when its window is empty
+    t = 3
+    assert check_3phi2_transform(
+        Q(1), Q(1), QMonomial(-1, 1, t + 1), QMonomial(-1, 1, 2), Q(t + 2), order
+    )
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 12])
+def test_transform_prefactor_telescopes_at_the_cli_parameters(monkeypatch, t):
+    # (q^(t+1))_inf (q^2)_inf / ((q^(t+2))_inf (q)_inf) = (1 - q^(t+1)) / (1 - q):
+    # after cancelling, the prefactor's kernel call makes the merges of
+    # those two passes
+    calls = []
+    kernel = qseries.qs_pochhammer_ratio
+
+    def wrapped(a, num, den):
+        calls.append((a, num, den))
+        return kernel(a, num, den)
+
+    monkeypatch.setattr(hyper, "qs_pochhammer_ratio", wrapped)
+    params = (Q(1), Q(1), QMonomial(-1, 1, t + 1), QMonomial(-1, 1, 2), Q(t + 2))
+    assert check_3phi2_transform(*params, 40)
+    a, num, den = calls[-1]
+    assert num == [(Q(t + 1), 40), (Q(2), 40)] and den == [(Q(t + 2), 40), (Q(1), 40)]
+    merges = []
+    merge = qseries._add_into
+    monkeypatch.setattr(
+        qseries, "_add_into", lambda *args: merges.append(args[1:]) or merge(*args)
+    )
+    telescoped = kernel(a, [(Q(t + 1), 1)], [(Q(1), 1)])
+    two_passes = len(merges)
+    assert kernel(a, num, den) == telescoped
+    assert len(merges) == 2 * two_passes
+
+
 # -- the derivation chain ----------------------------------------------------
 
 

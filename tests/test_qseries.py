@@ -7,6 +7,7 @@ frozen here as literals.
 
 import math
 import operator
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -1208,18 +1209,153 @@ MIXED_FAMILIES = [
     ([(NEG_ZQ, 5), (QMonomial(1, -1, 0), 2)], [(Q(1), 6), (QMonomial(-1, 1, 3), 2)]),
     ([(QMonomial(-1, 1, -1), 3), (Q(4), 2), (QMonomial(1, 0, -2), 2)], []),
 ]
+# the families of each entry left once the shared factors cancel:
+# (-zq)_5 / (-zq^3)_2 leaves (-zq)_2 and (-zq^5)_1
+LEFT_AFTER_CANCELLING = [
+    MIXED_FAMILIES[0],
+    ([(NEG_ZQ, 2), (QMonomial(-1, 1, 5), 1), (QMonomial(1, -1, 0), 2)], [(Q(1), 6)]),
+    MIXED_FAMILIES[2],
+]
 
 
 @pytest.mark.parametrize("num, den", MIXED_FAMILIES)
 def test_pochhammer_ratio_merges_as_its_families_one_at_a_time(monkeypatch, num, den):
-    # one copy of the rows, but exactly the row merges of one call per family
+    # one copy of the rows, but exactly the row merges of one call per
+    # family left after the shared factors cancel
+    left_num, left_den = LEFT_AFTER_CANCELLING[MIXED_FAMILIES.index((num, den))]
     a = QSeries(-2, [zp({0: 3}), zp({}), zp({-1: 4, 2: 1}), zp({1: -2})], 12)
     merges = count_row_merges(monkeypatch)
     chained = a
-    for b, n in num:
+    for b, n in left_num:
         chained = mul_pochhammer(chained, b, n)
-    for c, m in den:
+    for c, m in left_den:
         chained = div_pochhammer(chained, c, m)
     one_at_a_time = len(merges)
     assert qseries.qs_pochhammer_ratio(a, num, den) == chained
     assert len(merges) == 2 * one_at_a_time
+
+
+def random_series(rng):
+    """A seeded Laurent window: zero rows, negative z-exponents, and now and
+    then the zero series or an order past the last stored coefficient."""
+    min_exp = rng.randint(-4, 4)
+    width = rng.randint(0, 9)
+    coeffs = [
+        zp({rng.randint(-2, 3): rng.randint(-5, 5) for _ in range(rng.randint(0, 3))})
+        for _ in range(width)
+    ]
+    return QSeries(min_exp, coeffs, min_exp + width + rng.randint(0, 3))
+
+
+def shared_class_families(rng):
+    """Numerator and denominator families of one (sign, z) class, with
+    overlapping, nested and disjoint q-ranges and negative numerator
+    q-exponents, plus now and then a family of another class."""
+    sign, z_exp = rng.choice((1, -1)), rng.choice((-1, 0, 1, 2))
+    num = [(QMonomial(sign, z_exp, rng.randint(-3, 5)), rng.randint(0, 7))
+           for _ in range(rng.randint(1, 3))]
+    den = [(QMonomial(sign, z_exp, rng.randint(1, 5)), rng.randint(0, 7))
+           for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        num.append((QMonomial(-sign, z_exp, rng.randint(-1, 3)), rng.randint(1, 4)))
+    if rng.random() < 0.3:
+        den.append((QMonomial(sign, z_exp + 1, rng.randint(1, 3)), rng.randint(1, 4)))
+    return num, den
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pochhammer_ratio_cancels_shared_factors_exactly(seed):
+    # the kernel, with its shared factors cancelled, against every factor
+    # applied one pass at a time: products first, then quotients
+    rng = random.Random(seed)
+    for _ in range(25):
+        a = random_series(rng)
+        num, den = shared_class_families(rng)
+        expected = a
+        for b, n in num:
+            expected = one_factor_at_a_time(legacy_mul_one_minus, expected, b, n)
+        for c, m in den:
+            expected = one_factor_at_a_time(legacy_div_one_minus, expected, c, m)
+        assert qseries.qs_pochhammer_ratio(a, num, den) == expected
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        # nested, overlapping and disjoint ranges of one class
+        ([(NEG_ZQ, 6)], [(QMonomial(-1, 1, 2), 3)]),
+        ([(QMonomial(1, 0, -2), 6)], [(Q(2), 5)]),
+        ([(Q(1), 2)], [(Q(4), 3)]),
+        # the whole quotient cancels: a comes back
+        ([(Q(2), 4), (Q(1), 1)], [(Q(1), 5)]),
+    ],
+)
+def test_pochhammer_ratio_cancels_nested_overlapping_and_disjoint_ranges(num, den):
+    a = QSeries(-1, [zp({0: 2, 1: -1}), zp({}), zp({-1: 3})], 9)
+    expected = a
+    for b, n in num:
+        expected = one_factor_at_a_time(legacy_mul_one_minus, expected, b, n)
+    for c, m in den:
+        expected = one_factor_at_a_time(legacy_div_one_minus, expected, c, m)
+    assert qseries.qs_pochhammer_ratio(a, num, den) == expected
+
+
+def test_pochhammer_ratio_returns_the_input_when_every_factor_cancels():
+    a = QSeries(-1, [zp({0: 2, 1: -1}), zp({}), zp({-1: 3})], 9)
+    assert qseries.qs_pochhammer_ratio(a, [(Q(2), 4), (Q(1), 1)], [(Q(1), 5)]) is a
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ([], [(Q(0), 3)]),
+        ([(Q(0), 3)], [(Q(0), 3)]),
+        ([(Q(-2), 6)], [(Q(-1), 4)]),
+        ([(QMonomial(-1, 1, -1), 5), (Q(1), 2)], [(Q(1), 2), (QMonomial(-1, 1, 0), 2)]),
+    ],
+    ids=["alone", "cancelled", "cancelled-negative", "mixed"],
+)
+def test_pochhammer_ratio_rejects_a_divergent_family_cancelled_or_not(num, den):
+    # the check reads the families as given, before any factor cancels
+    with pytest.raises(DivergentProduct, match="is below 1"):
+        qseries.qs_pochhammer_ratio(QSeries.one(8), num, den)
+
+
+# -- streamed sums -------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_qs_sum_matches_the_left_fold_of_plus(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        order = rng.randint(-3, 9)
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            term = random_series(rng)
+            # every term known at least to the order, some far past it
+            known = max(term.order, order + rng.randint(0, 4))
+            terms.append(QSeries(term.min_exp, term.coeffs, known))
+        if rng.random() < 0.3:
+            terms.append(QSeries.zero(order + rng.randint(0, 2)))
+        folded = QSeries.zero(order)
+        for term in terms:
+            folded = folded + term
+        before = [term.dumps() for term in terms]
+        assert qseries.qs_sum(iter(terms), order) == folded
+        assert [term.dumps() for term in terms] == before  # no row merged in place
+
+
+def test_qs_sum_of_nothing_is_the_zero_series():
+    assert qseries.qs_sum([], 5) == QSeries.zero(5)
+    assert qseries.qs_sum(iter(()), -2) == QSeries.zero(-2)
+
+
+def test_qs_sum_cancelling_terms_leave_the_zero_series():
+    a = QSeries(-2, [zp({0: 3}), zp({}), zp({1: -4})], 6)
+    assert qseries.qs_sum([a, -a], 4) == QSeries.zero(4)
+
+
+def test_qs_sum_rejects_a_term_known_short_of_the_order():
+    short = QSeries.from_terms({1: 2}, 4)
+    with pytest.raises(InsufficientOrder):
+        qseries.qs_sum([QSeries.one(9), short], 5)
