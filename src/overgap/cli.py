@@ -372,15 +372,21 @@ def _cmd_verify(args) -> int:
     order = args.order if args.order is not None else _default_order()
     entries = _verify_entries(suites, args.t, order, args.max_n)
     for entry in entries:
-        diff = entry["details"].get("first_difference")
-        if diff is not None:
-            values = ", ".join(f"{k} {v}" for k, v in diff.items() if k not in ("q", "z"))
-            print(
-                f"verify failed: {entry['suite']} at t={entry['t']}, order "
-                f"{entry['order']}; first difference at q^{diff['q']} z^{diff['z']}: "
-                f"{values}",
-                file=sys.stderr,
-            )
+        where = f"{entry['suite']} at t={entry['t']}, order {entry['order']}"
+        details = entry["details"]
+        # a chain entry carries one first difference per failing line
+        failures = [(where, details.get("first_difference"))] + [
+            (f"{where}, line {line['label']}", line.get("first_difference"))
+            for line in details.get("lines", ())
+        ]
+        for place, diff in failures:
+            if diff is not None:
+                values = ", ".join(f"{k} {v}" for k, v in diff.items() if k not in ("q", "z"))
+                print(
+                    f"verify failed: {place}; first difference at q^{diff['q']} "
+                    f"z^{diff['z']}: {values}",
+                    file=sys.stderr,
+                )
     _emit(json.dumps(entries, indent=2) + "\n", args.output)
     return 0 if all(entry["pass"] for entry in entries) else 2
 

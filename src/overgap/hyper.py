@@ -6,22 +6,25 @@ and a monomial argument w; the value is
     sum_{n >= 0} [prod_i (a_i; q)_n / ((q; q)_n prod_j (b_j; q)_n)]
                  * ((-1)^n q^(n(n-1)/2))^(s - r) * w^n.
 
-Evaluation walks the terms with exact ratio updates: each step is one
-call to :func:`~overgap.qseries.qs_pochhammer_ratio`, which multiplies
-by the new numerator factors (1 - a q^(n-1)) and divides out the new
-denominator factors, so every term is a window-true
-:class:`~overgap.qseries.QSeries`.  The terms stream into
-:func:`~overgap.qseries.qs_sum`, which merges each row into the sum in
-place, so the partial sum is exact to the requested order, no list of
-terms is kept and no series is added to another.  Each term is kept past
-the order only as far as the lowest window of the terms after it falls
-below its own, so no pass computes a coefficient that no later term
-reads, and the walk stops at the first term that is zero on its window.
-A parameter shared by numerator and denominator (q included, for the
-(q; q)_n factor) contributes the same factor to both and is skipped once
-for the whole series.  A numerator parameter q^(-k) (sign +1, no z)
-terminates the series after k + 1 terms; without one, the argument must
-carry a positive q-exponent so that later terms fall below the order.
+Evaluation takes the nested form 1 + r_1 (1 + r_2 (1 + ... r_N)), r_n
+the ratio of term n to term n-1, from the last term inward: the tail
+U_(n-1) = 1 + r_n U_n is one call to
+:func:`~overgap.qseries.qs_pochhammer_ratio`, which multiplies by the
+numerator factors (1 - a q^(n-1)) and divides out the denominator
+factors, a monomial shift and a ``+ 1``, so every tail is a window-true
+:class:`~overgap.qseries.QSeries`.  Term n starts at q^drift_n, the sum
+of its ratios' lowest exponents, so U_n is needed only to the order less
+drift_n, and each step moves the window by exactly that much.  The walk
+starts at the last term to start below the order: every term after it
+is zero on the window.  A tail holds only the factors of the steps after
+it, so it is narrower in z than the term it multiplies: at the chain's
+transformation parameters a term carries all of 1/(-zq^2; q)_n, a tail
+only the factors past n.  A parameter shared by numerator and
+denominator (q included, for the (q; q)_n factor) contributes the same
+factor to both and is skipped once for the whole series.  A numerator
+parameter q^(-k) (sign +1, no z) terminates the series after k + 1
+terms; without one, the argument must carry a positive q-exponent so
+that later terms fall below the order.
 
 The module also packages three verification routines: the classical
 q-Chu-Vandermonde summation, a three-parameter series transformation,
@@ -30,9 +33,11 @@ the bounded-gap generating function to its closed form.  Chain lines 3-4
 are the two sides of the transformation at (q, q, -zq^(t+1); -zq^2,
 q^(t+2)) and lines 5-6 the two sides of q-Chu-Vandermonde at (-z, -zq,
 t), each times its prefactor; the chain and the two checks compute those
-sides with the same code.  Chain line 2 walks its running term by the
-same rule: no later term reads it past the order.  Chain lines 1 and 2
-stream their terms into the same in-place sum.  Every Pochhammer
+sides with the same code.  Chain line 2 walks forward from its first
+term, keeping the running term only to the order, as no later term reads
+it further; a nested walk of it was slower.  Chain lines 1 and 2 stream
+their terms into :func:`~overgap.qseries.qs_sum`, which merges each row
+into the sum in place, so no list of terms is kept.  Every Pochhammer
 quotient, finite or infinite, is divided out in place by the same
 kernel; no general inverse is taken.  Each prefactor of lines 3-6 is
 c q^p times a Pochhammer quotient, applied to each side by kernel passes:
@@ -136,20 +141,17 @@ def _auto_terms(spec: HypergeometricSpec, target_order: int) -> int:
     return max(0, target_order + slack)
 
 
-def _term_reach(spec: HypergeometricSpec, terms: int) -> list[int]:
-    """How far past the order each term is kept.  Term n's window moves
-    from term n-1's by its numerator factors' negative q-exponents, the
-    argument's and (n-1) times the exponent shift; the terms after n read
-    it only as far as the lowest of their windows falls below its own."""
+def _drifts(spec: HypergeometricSpec, terms: int) -> list[int]:
+    """The lowest q-exponent of each of the first ``terms`` terms: term n
+    moves from term n-1 by its numerator factors' negative q-exponents,
+    the argument's and (n-1) times the exponent shift."""
     steps = (
         sum(min(0, p.q_exp + n - 1) for p in spec.numerator)
         + spec.argument.q_exp
         + (n - 1) * spec.exponent_shift
         for n in range(1, terms)
     )
-    drifts = list(accumulate(steps, initial=0))
-    lows = list(accumulate(reversed(drifts), min))[::-1]
-    return [drift - low for drift, low in zip(drifts, lows)]
+    return list(accumulate(steps, initial=0))
 
 
 def eval_phi(
@@ -174,44 +176,39 @@ def eval_phi(
         terms = min(terms, index + 1)
     if terms <= 0:
         return QSeries.zero(target_order)
-    return qs_sum(_phi_terms(spec, terms, target_order), target_order)
-
-
-def _phi_terms(
-    spec: HypergeometricSpec, terms: int, target_order: int
-) -> Iterator[QSeries]:
-    """The first ``terms`` terms of the series, each kept past the order as
-    far as :func:`_term_reach` says, up to the first that is zero."""
-    reach = _term_reach(spec, terms)
-    term = QSeries.one(max(1, target_order + reach[0]))
-    yield term
+    drifts = _drifts(spec, terms)
+    # the terms after the last one to start below the order are zero on the
+    # window: the walk starts there, with that term's tail 1
+    last = max((n for n, drift in enumerate(drifts) if drift < target_order), default=-1)
+    if last < 0:
+        return QSeries.zero(target_order)
     shift = spec.exponent_shift
     arg = spec.argument
-    # term n gains a factor (1 - p q^(n-1)) for each numerator parameter p
-    # and loses one for each denominator parameter, q included for (q; q)_n;
-    # a parameter on both sides cancels for every n, so it is dropped once
-    # here rather than by the kernel at every term; denominator factors
-    # keep the window, so dropping a pair leaves every term unchanged
+    # step n multiplies by a factor (1 - p q^(n-1)) for each numerator
+    # parameter p and divides by one for each denominator parameter, q
+    # included for (q; q)_n; a parameter on both sides cancels for every n,
+    # so it is dropped once here rather than by the kernel at every step;
+    # denominator factors keep the window, so dropping a pair leaves every
+    # tail unchanged
     numerator = list(spec.numerator)
     denominator = [QMonomial.q_power(1), *spec.denominator]
     for param in spec.numerator:
         if param in denominator:
             numerator.remove(param)
             denominator.remove(param)
-    for n in range(1, terms):
+    tail = QSeries.one(target_order - drifts[last])
+    for n in range(last, 0, -1):
+        # tail n-1 = 1 + (term n / term n-1) * tail n, needed to the order
+        # less term n-1's drift; the step moves the window by exactly that
         lift = QMonomial.q_power(n - 1)
-        term = qs_pochhammer_ratio(
-            term,
+        tail = qs_pochhammer_ratio(
+            tail,
             [(p * lift, 1) for p in numerator],
             [(p * lift, 1) for p in denominator],
         )
-        term = term * (arg * QMonomial(-1 if shift % 2 else 1, 0, (n - 1) * shift))
-        if term.order < target_order + reach[n]:
-            raise AssertionError("hypergeometric window accounting failed")
-        term = term.truncate(target_order + reach[n])
-        if term.is_zero():
-            return
-        yield term
+        tail = tail * (arg * QMonomial(-1 if shift % 2 else 1, 0, (n - 1) * shift))
+        tail = tail.truncate(target_order - drifts[n - 1]) + 1
+    return tail
 
 
 def _chu_sides(

@@ -13,8 +13,8 @@ products and Pochhammer passes alike, goes through one loop,
 ``_add_into``, which adds a scaled, z-shifted term map into a row in
 place and drops the coefficients that cancel.  :func:`qs_sum` streams any
 number of series into one row dict per q-exponent through it, so a
-running sum copies no row and keeps no term; every sum of terms in
-``hyper`` is one such call.
+running sum copies no row and keeps no term; the sums of ``hyper``'s
+chain lines 1 and 2 are each one such call.
 
 Every Pochhammer product and quotient runs through one kernel,
 :func:`qs_pochhammer_ratio`: it multiplies by some (b; q)_n and divides

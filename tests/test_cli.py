@@ -394,7 +394,7 @@ def test_verify_chain_failure_names_the_coefficient(capsys, monkeypatch):
     wrong, previous = hyper.chain_lines(3, 12)[-1][1], lines[2][1]
     tampered = lines[:3] + [("closed_form", wrong)]
     monkeypatch.setattr(hyper, "chain_lines", lambda t, order: tampered)
-    code, out, _ = run(capsys, "verify", "--suite", "chain", "--t", "2", "--order", "12")
+    code, out, err = run(capsys, "verify", "--suite", "chain", "--t", "2", "--order", "12")
     assert code == 2
     [entry] = json.loads(out)
     n, m, line_value, previous_value = wrong.first_difference(previous, 12)
@@ -402,6 +402,11 @@ def test_verify_chain_failure_names_the_coefficient(capsys, monkeypatch):
         None, None, None,
         {"q": n, "z": m, "line": str(line_value), "previous": str(previous_value)},
     ]
+    # stderr names the failing line, as the other suites' failures do
+    assert err == (
+        f"verify failed: chain at t=2, order 12, line closed_form; first difference "
+        f"at q^{n} z^{m}: line {line_value}, previous {previous_value}\n"
+    )
 
 
 @pytest.mark.parametrize(

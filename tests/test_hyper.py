@@ -432,14 +432,28 @@ def test_chain_input_validation():
         chain_lines(3, 0)
 
 
+def lowest_drift(spec, terms):
+    """How far below q^0 the first ``terms`` terms reach: term n's ratio to
+    term n-1 starts at its numerator factors' negative q-exponents, plus
+    the argument's and (n-1) times the exponent shift."""
+    drift = low = 0
+    for n in range(1, terms):
+        drift += sum(min(0, p.q_exp + n - 1) for p in spec.numerator)
+        drift += spec.argument.q_exp + (n - 1) * spec.exponent_shift
+        low = min(low, drift)
+    return low
+
+
 def legacy_eval_phi(spec, terms, target_order):
-    """eval_phi with every numerator and denominator factor applied, none
-    cancelled, and the monomial factors through qs_mul_finite."""
+    """The forward walk: every term from the first, with every numerator
+    and denominator factor applied, none cancelled, the monomial factors
+    through qs_mul_finite, and the first term kept as far past the order
+    as the lowest later term reaches below it."""
     if terms is None:
         terms = hyper._auto_terms(spec, target_order)
     if terms <= 0:
         return QSeries.zero(target_order)
-    term = QSeries.one(max(1, target_order + hyper._term_reach(spec, terms)[0]))
+    term = QSeries.one(max(1, target_order - lowest_drift(spec, terms)))
     shift = spec.exponent_shift
     arg = spec.argument
     total = term.truncate(target_order)
@@ -504,7 +518,7 @@ def test_eval_phi_cancellation_keeps_every_term(t):
 def test_laurent_spec_is_laurent():
     # the last identity spec reaches below q^0, so its windows do drift
     spec, _ = identity_specs(4)[-1]
-    assert hyper._term_reach(spec, 10)[0] > 0
+    assert min(hyper._drifts(spec, 10)) < 0
 
 
 def summed_window_slack(spec, terms):
@@ -529,26 +543,32 @@ def test_chu_terms_never_fall_below_the_first_window(t):
     # term n of the chu series has lowest exponent n(n+1)/2 > 0: the
     # argument q^(t+1) lifts it by more than the factors (1 - q^(k-t)) drop it
     spec = HypergeometricSpec((NEG_Z, Q(-t)), (NEG_ZQ,), Q(t + 1))
-    assert hyper._term_reach(spec, t + 1)[0] == 0
+    assert hyper._drifts(spec, t + 1) == [n * (n + 1) // 2 for n in range(t + 1)]
 
 
 @pytest.mark.parametrize("t", range(1, 13))
 def test_eval_phi_is_independent_of_the_first_window(monkeypatch, t):
-    # the summed bound widens the chu spec's first window by t(t+1)/2
+    # the summed bound is t(t+1)/2 for the chu spec, whose terms never
+    # fall below q^0
     spec, terms = identity_specs(t)[0]
-    assert hyper._term_reach(spec, terms)[0] < summed_window_slack(spec, terms)
+    assert -lowest_drift(spec, terms) < summed_window_slack(spec, terms)
     exact, wide = {}, {}
     for spec, terms in identity_specs(t):
         for order in (-1, 0, 1, 2, 7, 40, 100):
             exact[spec, order] = eval_phi(spec, terms, order)
             count = terms if terms is not None else hyper._auto_terms(spec, order)
-            assert hyper._term_reach(spec, count)[0] <= summed_window_slack(spec, count)
-    term_reach = hyper._term_reach
+            assert -min(hyper._drifts(spec, count)) <= summed_window_slack(spec, count)
+    drifts = hyper._drifts
 
-    def widened_reach(spec, terms):
-        return [reach + summed_window_slack(spec, terms) for reach in term_reach(spec, terms)]
+    def widened(spec, terms):
+        # each tail's window is the order less its term's drift: lowering
+        # every drift past the first by the summed bound, and one more,
+        # widens every window but the sum's own
+        slack = 1 + summed_window_slack(spec, terms)
+        first, *rest = drifts(spec, terms)
+        return [first, *(drift - slack for drift in rest)]
 
-    monkeypatch.setattr(hyper, "_term_reach", widened_reach)
+    monkeypatch.setattr(hyper, "_drifts", widened)
     for spec, terms in identity_specs(t):
         for order in (-1, 0, 1, 2, 7, 40, 100):
             wide[spec, order] = eval_phi(spec, terms, order)
@@ -648,15 +668,46 @@ def test_library_paths_never_invert(monkeypatch, capsys):
 
 # -- randomized identity instances -------------------------------------------
 
-monomials = st.builds(
-    QMonomial,
-    st.sampled_from((1, -1)),
-    st.integers(min_value=-1, max_value=2),
-    st.integers(min_value=1, max_value=3),
-)
+
+def signed_monomials(low, high):
+    return st.builds(
+        QMonomial,
+        st.sampled_from((1, -1)),
+        st.integers(min_value=-1, max_value=2),
+        st.integers(min_value=low, max_value=high),
+    )
+
+
+monomials = signed_monomials(1, 3)
 
 
 @settings(deadline=None, max_examples=30)
 @given(monomials, monomials, st.integers(min_value=0, max_value=5))
 def test_chu_vandermonde_random_instances(a, c, n):
     assert check_q_chu_vandermonde(a, c, n, 18)
+
+
+random_specs = st.builds(
+    HypergeometricSpec,
+    st.lists(signed_monomials(-4, 3), min_size=1, max_size=3).map(tuple),
+    st.lists(signed_monomials(1, 4), max_size=2).map(tuple),
+    signed_monomials(-2, 4),
+)
+
+
+def outcome(evaluate, spec, terms, order):
+    """The series, or the type of the exception raised instead."""
+    try:
+        return evaluate(spec, terms, order)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    random_specs,
+    st.none() | st.integers(min_value=0, max_value=8),
+    st.integers(min_value=-4, max_value=25),
+)
+def test_eval_phi_matches_the_forward_walk_on_random_specs(spec, terms, order):
+    assert outcome(eval_phi, spec, terms, order) == outcome(legacy_eval_phi, spec, terms, order)
