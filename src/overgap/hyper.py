@@ -8,23 +8,28 @@ and a monomial argument w; the value is
 
 Evaluation takes the nested form 1 + r_1 (1 + r_2 (1 + ... r_N)), r_n
 the ratio of term n to term n-1, from the last term inward: the tail
-U_(n-1) = 1 + r_n U_n is one call to
-:func:`~overgap.qseries.qs_pochhammer_ratio`, which multiplies by the
-numerator factors (1 - a q^(n-1)) and divides out the denominator
-factors, a monomial shift and a ``+ 1``, so every tail is a window-true
-:class:`~overgap.qseries.QSeries`.  Term n starts at q^drift_n, the sum
-of its ratios' lowest exponents, so U_n is needed only to the order less
-drift_n, and each step moves the window by exactly that much.  The walk
-starts at the last term to start below the order: every term after it
-is zero on the window.  A tail holds only the factors of the steps after
-it, so it is narrower in z than the term it multiplies: at the chain's
-transformation parameters a term carries all of 1/(-zq^2; q)_n, a tail
-only the factors past n.  A parameter shared by numerator and
-denominator (q included, for the (q; q)_n factor) contributes the same
-factor to both and is skipped once for the whole series.  A numerator
-parameter q^(-k) (sign +1, no z) terminates the series after k + 1
-terms; without one, the argument must carry a positive q-exponent so
-that later terms fall below the order.
+U_(n-1) = 1 + r_n U_n multiplies by the numerator factors
+(1 - a q^(n-1)) and divides out the denominator factors, then takes a
+monomial shift, a truncation and a ``+ 1``.  The tails live in one
+:class:`~overgap.qseries.ZColumns` buffer for the whole walk, dense
+integer z-columns over the tail's window, so each factor of a step is
+one slice pass per column where
+:func:`~overgap.qseries.qs_pochhammer_ratio` would merge every z-term of
+every row; the columns become a window-true
+:class:`~overgap.qseries.QSeries` once, at the end.  Term n starts at
+q^drift_n, the sum of its ratios' lowest exponents, so U_n is needed
+only to the order less drift_n, and each step moves the window by
+exactly that much.  The walk starts at the last term to start below the
+order: every term after it is zero on the window.  A tail holds only the
+factors of the steps after it, so it is narrower in z than the term it
+multiplies: at the chain's transformation parameters a term carries all
+of 1/(-zq^2; q)_n, a tail only the factors past n, and over its window
+a tail is dense enough in z for the columns to win.  A parameter shared
+by numerator and denominator (q included, for the (q; q)_n factor)
+contributes the same factor to both and is skipped once for the whole
+series.  A numerator parameter q^(-k) (sign +1, no z) terminates the
+series after k + 1 terms; without one, the argument must carry a
+positive q-exponent so that later terms fall below the order.
 
 The module also packages three verification routines: the classical
 q-Chu-Vandermonde summation, a three-parameter series transformation,
@@ -33,26 +38,29 @@ the bounded-gap generating function to its closed form.  Chain lines 3-4
 are the two sides of the transformation at (q, q, -zq^(t+1); -zq^2,
 q^(t+2)) and lines 5-6 the two sides of q-Chu-Vandermonde at (-z, -zq,
 t), each times its prefactor; the chain and the two checks compute those
-sides with the same code.  Chain line 2 walks forward from its first
-term, keeping the running term only to the order, as no later term reads
-it further; a nested walk of it was slower.  Chain lines 1 and 2 stream
-their terms into :func:`~overgap.qseries.qs_sum`, which merges each row
-into the sum in place, so no list of terms is kept.  Every Pochhammer
-quotient, finite or infinite, is divided out in place by the same
-kernel; no general inverse is taken.  Each prefactor of lines 3-6 is
-c q^p times a Pochhammer quotient, applied to each side by kernel passes:
-the side is cut to the window a general product with the prefactor would
-have, the kernel divides the quotient in, and c q^p scales and shifts the
-result.  So no prefactor series is built for lines 3-6, and the one
-general product in the chain is the transformation's: its prefactor
+sides with the same code.  The q-Chu-Vandermonde sum is one call to the
+row kernel, so chain lines 5 = 6 and the ``chu`` suite check the column
+walk of the series against the row kernel.  Chain line 2 walks forward
+from its first term, keeping the running term only to the order, as no
+later term reads it further; a nested walk of it was slower.  Chain
+lines 1 and 2 stream their terms into :func:`~overgap.qseries.qs_sum`,
+which merges each row into the sum in place, so no list of terms is
+kept.  Every Pochhammer quotient, finite or infinite, is divided out in
+place, by the row kernel or by the column walk; no general inverse is
+taken.  Each prefactor of lines 3-6 is c q^p times a Pochhammer
+quotient, applied to each side by kernel passes: the side is cut to the
+window a general product with the prefactor would have, the kernel
+divides the quotient in, and c q^p scales and shifts the result.  So no
+prefactor series is built for lines 3-6, and the one general product in
+the chain is the transformation's: its prefactor
 (e/a)_inf (de/(bc))_inf / ((e)_inf (de/(abc))_inf), one kernel call that
 takes all four infinite families on the one series, times the partner
 series.  The kernel cancels the factors the families share, so at the
 chain's parameters the prefactor telescopes to (1 - q^(t+1)) / (1 - q)
 and costs two passes.  Chain line 7, the closed form, is the one line
-built apart from that kernel (from z-columns, in
-:func:`qseries.bounded_gap_overpartition_gf`), so the last link of the
-chain checks the kernel against another method.
+built apart from the kernel and the column walk (from the q-binomial
+z-columns, in :func:`qseries.bounded_gap_overpartition_gf`), so the
+last link of the chain checks the kernel against another method.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from .qseries import (
     DivergentProduct,
     QMonomial,
     QSeries,
+    ZColumns,
     ZLaurentPoly,
     bounded_gap_overpartition_gf,
     pochhammer,
@@ -187,7 +196,7 @@ def eval_phi(
     # step n multiplies by a factor (1 - p q^(n-1)) for each numerator
     # parameter p and divides by one for each denominator parameter, q
     # included for (q; q)_n; a parameter on both sides cancels for every n,
-    # so it is dropped once here rather than by the kernel at every step;
+    # so it is dropped once here, as the column walk cancels nothing;
     # denominator factors keep the window, so dropping a pair leaves every
     # tail unchanged
     numerator = list(spec.numerator)
@@ -196,19 +205,19 @@ def eval_phi(
         if param in denominator:
             numerator.remove(param)
             denominator.remove(param)
-    tail = QSeries.one(target_order - drifts[last])
+    num = [(p, 1) for p in numerator]
+    den = [(p, 1) for p in denominator]
+    tail = ZColumns.from_series(QSeries.one(target_order - drifts[last]))
     for n in range(last, 0, -1):
         # tail n-1 = 1 + (term n / term n-1) * tail n, needed to the order
         # less term n-1's drift; the step moves the window by exactly that
-        lift = QMonomial.q_power(n - 1)
-        tail = qs_pochhammer_ratio(
-            tail,
-            [(p * lift, 1) for p in numerator],
-            [(p * lift, 1) for p in denominator],
-        )
-        tail = tail * (arg * QMonomial(-1 if shift % 2 else 1, 0, (n - 1) * shift))
-        tail = tail.truncate(target_order - drifts[n - 1]) + 1
-    return tail
+        tail.pochhammer_ratio(num, den, n - 1)
+        tail.times_monomial(arg)
+        if shift:
+            tail.times_monomial(QMonomial(-1 if shift % 2 else 1, 0, (n - 1) * shift))
+        tail.truncate(target_order - drifts[n - 1])
+        tail.add_one()
+    return tail.to_series()
 
 
 def _chu_sides(

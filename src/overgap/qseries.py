@@ -9,12 +9,12 @@ the operands justify, so "equal up to order N" is always a statement
 about coefficients that are actually known.
 
 Every merge of z-term maps, in sums, differences, polynomial and series
-products and Pochhammer passes alike, goes through one loop,
-``_add_into``, which adds a scaled, z-shifted term map into a row in
-place and drops the coefficients that cancel.  :func:`qs_sum` streams any
-number of series into one row dict per q-exponent through it, so a
-running sum copies no row and keeps no term; the sums of ``hyper``'s
-chain lines 1 and 2 are each one such call.
+products and the kernel's Pochhammer passes alike, goes through one
+loop, ``_add_into``, which adds a scaled, z-shifted term map into a row
+in place and drops the coefficients that cancel.  :func:`qs_sum`
+streams any number of series into one row dict per q-exponent through
+it, so a running sum copies no row and keeps no term; the sums of
+``hyper``'s chain lines 1 and 2 are each one such call.
 
 Every Pochhammer product and quotient runs through one kernel,
 :func:`qs_pochhammer_ratio`: it multiplies by some (b; q)_n and divides
@@ -27,6 +27,13 @@ A factor that a numerator and a denominator family share (same sign,
 z-exponent and q-exponent) cancels before any pass, so a quotient of
 infinite products costs what its telescoped form does:
 (a; q)_inf / (a*q^k; q)_inf is the k passes of (a; q)_k.
+:class:`ZColumns` makes the same passes on a working buffer of dense
+integer z-columns, one list of ints per z-exponent over the window, so
+a factor (1 - a*q^k) is one slice pass per column and merges no row.
+Converting rows to columns and back costs more than the passes of a
+typical kernel call, so the buffer pays only over a walk of many passes
+on one series: ``hyper.eval_phi`` keeps its tail in one buffer from the
+last term to the first.
 The bounded-gap closed forms are the one Pochhammer quotient built
 apart from that kernel: the finite q-binomial theorem splits
 (-zq; q)_t / (q; q)_t into z^k columns, each a dense list of integers
@@ -54,7 +61,8 @@ z-exponents when the monomial has a z part; no product runs.
 
 Instances of :class:`ZLaurentPoly`, :class:`QMonomial` and
 :class:`QSeries` are immutable values; every operation returns a fresh
-object.
+object.  A :class:`ZColumns` is a working buffer, changed in place by
+each of its methods, that reads a series in and writes one out.
 """
 
 from __future__ import annotations
@@ -62,8 +70,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, sub
+from itertools import accumulate, compress, cycle
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -82,6 +90,7 @@ __all__ = [
     "pochhammer",
     "pochhammer_infinite",
     "qs_pochhammer_ratio",
+    "ZColumns",
     "bounded_gap_overpartition_gf",
     "bounded_gap_partition_gf",
 ]
@@ -884,7 +893,7 @@ def pochhammer_infinite(a: QMonomial, target_order: int) -> QSeries:
     return pochhammer(a, max(0, target_order), target_order)
 
 
-# -- closed-form generating functions --------------------------------------
+# -- dense z-columns -------------------------------------------------------
 
 
 def _times_one_minus(col: list[int], s: int) -> None:
@@ -909,6 +918,244 @@ def _over_one_minus(col: list[int], s: int) -> None:
     else:
         for at in range(s, width, s):
             col[at:at + s] = map(add, col[at:at + s], col[at - s:at])
+
+
+_ALTERNATING = (1, -1)
+
+
+def _over_one_plus(col: list[int], s: int) -> None:
+    """col /= (1 + q^s) in place, for s >= 1: col[e] -= col[e - s], upward.
+
+    The signed twin of :func:`_over_one_minus`: along a long residue class
+    the alternating signs (-1)^i, applied before and after, turn the
+    recurrence into a running sum; otherwise each block of s entries
+    subtracts the block below it, already divided.
+    """
+    width = len(col)
+    if s >= width:
+        return
+    if s * s <= width:
+        for r in range(s):
+            signed = accumulate(map(mul, col[r::s], cycle(_ALTERNATING)))
+            col[r::s] = map(mul, signed, cycle(_ALTERNATING))
+    else:
+        for at in range(s, width, s):
+            col[at:at + s] = map(sub, col[at:at + s], col[at - s:at])
+
+
+class ZColumns:
+    """A working buffer that holds a truncated series as dense integer
+    z-columns, for a walk of many Pochhammer passes over one series.
+
+    ``columns[k][i]`` is the coefficient of z^(z0 + k) q^(q0 + i), and
+    every column spans the whole window [q0, order).  Each factor
+    (1 - sign*z^j q^s) of :meth:`pochhammer_ratio` is one slice pass per
+    column, a C-level loop over a list of ints, where
+    :func:`qs_pochhammer_ratio` merges each z-term of a row in Python; the
+    ratio then drops the zero columns at both ends, so the zero series
+    has none.  That wins when the series is dense in z over its window
+    and takes many passes between conversions: rows become columns once
+    on the way in (:meth:`from_series`) and columns rows once on the way
+    out (:meth:`to_series`).  Unlike the value types, a buffer is changed
+    in place by each method.
+    """
+
+    __slots__ = ("q0", "order", "z0", "columns")
+
+    def __init__(self, q0: int, order: int, z0: int, columns: list[list[int]]):
+        self.q0 = q0
+        self.order = order
+        self.z0 = z0
+        self.columns = columns
+
+    @classmethod
+    def from_series(cls, series: QSeries) -> "ZColumns":
+        z_exps = [z for row in series.coeffs for z in row._terms]
+        if not z_exps:
+            return cls(series.order, series.order, 0, [])
+        z0 = min(z_exps)
+        width = series.order - series.min_exp
+        columns = [[0] * width for _ in range(max(z_exps) - z0 + 1)]
+        for i, row in enumerate(series.coeffs):
+            for z, coeff in row._terms.items():
+                columns[z - z0][i] = coeff
+        return cls(series.min_exp, series.order, z0, columns)
+
+    def to_series(self) -> QSeries:
+        z_exps = range(self.z0, self.z0 + len(self.columns))
+        rows = [
+            ZLaurentPoly._make(dict(compress(zip(z_exps, cells), cells)))
+            for cells in zip(*self.columns)
+        ]
+        return QSeries(self.q0, rows, self.order)
+
+    def pochhammer_ratio(
+        self,
+        num: Sequence[tuple[QMonomial, int]],
+        den: Sequence[tuple[QMonomial, int]],
+        lift: int = 0,
+    ) -> None:
+        """Multiply by (b q^lift; q)_n for each (b, n) in ``num`` and
+        divide by (c q^lift; q)_m for each (c, m) in ``den``, in place:
+        ``==`` :func:`qs_pochhammer_ratio` on the lifted families, with the
+        same :class:`DivergentProduct` rule.  The lift lets a walk that
+        applies the same families one q-step higher each time build them
+        once.
+
+        Factors whose q-exponent reaches the window's width are skipped; a
+        negative one lowers the window and keeps its width.  Factors that a
+        numerator and a denominator family share are not cancelled: they
+        cost their two passes.
+        """
+        for c, m in den:
+            if m > 0 and c.q_exp + lift < 1:
+                c = QMonomial(c.sign, c.z_exp, c.q_exp + lift)
+                raise DivergentProduct(
+                    f"cannot divide by ({c}; q)_{m}: its q-exponent {c.q_exp} is below 1"
+                )
+        width = self.order - self.q0
+        for passes, families in ((self._times, num), (self._over, den)):
+            for b, n in families:
+                start = b.q_exp + lift
+                for s in range(start, min(start + n, width)):
+                    if b.z_exp < 0:
+                        self._flipped(passes, b.sign, b.z_exp, s)
+                    else:
+                        passes(b.sign, b.z_exp, s)
+        self._trim()
+
+    def times_monomial(self, mono: QMonomial) -> None:
+        """Multiply by a monomial: a shift of the window and of z0, and a
+        negation of every column when its sign is -1."""
+        self.q0 += mono.q_exp
+        self.order += mono.q_exp
+        self.z0 += mono.z_exp
+        if mono.sign == -1:
+            for col in self.columns:
+                col[:] = map(neg, col)
+
+    def truncate(self, order: int) -> None:
+        """Forget the coefficients at or past ``order``.  Never widens."""
+        if order > self.order:
+            raise InsufficientOrder(
+                f"cannot widen a series of order {self.order} to {order}"
+            )
+        keep = order - self.q0
+        if keep <= 0:
+            self.q0, self.z0, self.columns = order, 0, []
+        else:
+            for col in self.columns:
+                del col[keep:]
+        self.order = order
+
+    def add_one(self) -> None:
+        """Add 1 at q^0 z^0, widening the window down to q^0; past the
+        window (order <= 0) it vanishes."""
+        if self.order <= 0:
+            return
+        columns = self.columns
+        if not columns:
+            self.q0 = self.z0 = 0
+            columns.append([0] * self.order)
+        elif self.q0 > 0:
+            pad = [0] * self.q0
+            for col in columns:
+                col[:0] = pad
+            self.q0 = 0
+        width = self.order - self.q0
+        if self.z0 > 0:
+            columns[:0] = [[0] * width for _ in range(self.z0)]
+            self.z0 = 0
+        columns.extend([0] * width for _ in range(len(columns), 1 - self.z0))
+        columns[-self.z0][-self.q0] += 1
+
+    def _times(self, sign: int, j: int, s: int) -> None:
+        """Multiply by (1 - sign*z^j q^s), j >= 0: column k+j takes away
+        sign times column k shifted up by s, each column read before it
+        is written (downward in k).  A negative s lowers the window by -s
+        and keeps its width: every column moves up by -s, and the copies
+        taken away are the columns as they were."""
+        columns = self.columns
+        if s < 0:
+            self.q0 += s
+            self.order += s
+        if not columns:
+            return
+        width = self.order - self.q0
+        if sign == 1 and not j and s > 0:
+            for col in columns:
+                _times_one_minus(col, s)
+            return
+        op = sub if sign == 1 else add
+        sources = columns
+        if s < 0:
+            pad = [0] * min(-s, width)
+            columns = self.columns = [pad + col[:width - len(pad)] for col in sources]
+        count = len(sources)
+        columns.extend([0] * width for _ in range(j))
+        for k in range(count - 1, -1, -1):
+            dst = columns[k + j]
+            if s > 0:
+                dst[s:] = map(op, dst[s:], sources[k][:width - s])
+            else:
+                dst[:] = map(op, dst, sources[k])
+
+    def _over(self, sign: int, j: int, s: int) -> None:
+        """Divide by (1 - sign*z^j q^s), j >= 0, 1 <= s < width: column k
+        adds sign times column k-j, already divided, shifted up by s, so
+        the columns run upward in k and grow the z-range while the new
+        columns are nonzero."""
+        columns = self.columns
+        if not j:
+            over = _over_one_minus if sign == 1 else _over_one_plus
+            for col in columns:
+                over(col, s)
+            return
+        width = self.order - self.q0
+        op = add if sign == 1 else sub
+        for k in range(j, len(columns)):
+            dst = columns[k]
+            dst[s:] = map(op, dst[s:], columns[k - j][:width - s])
+        pad = [0] * s
+        zeros = 0
+        while zeros < j and columns:
+            k = len(columns)
+            src = columns[k - j][:width - s] if k >= j else []
+            if any(src):
+                columns.append(pad + (src if sign == 1 else list(map(neg, src))))
+                zeros = 0
+            else:
+                columns.append([0] * width)
+                zeros += 1
+        del columns[len(columns) - zeros:]
+
+    def _flipped(self, passes, sign: int, j: int, s: int) -> None:
+        """Run ``passes`` for a negative z-exponent j on the columns in
+        reverse order, where z^j becomes z^(-j)."""
+        self.columns.reverse()
+        self.z0 = 1 - self.z0 - len(self.columns)
+        passes(sign, -j, s)
+        self.columns.reverse()
+        self.z0 = 1 - self.z0 - len(self.columns)
+
+    def _trim(self) -> None:
+        """Drop the zero columns at both ends; with none left the window
+        is empty, [order, order), as a zero :class:`QSeries` has."""
+        columns = self.columns
+        while columns and not any(columns[-1]):
+            columns.pop()
+        lead = 0
+        while lead < len(columns) and not any(columns[lead]):
+            lead += 1
+        if lead:
+            del columns[:lead]
+            self.z0 += lead
+        if not columns:
+            self.q0 = self.order
+            self.z0 = 0
+
+
+# -- closed-form generating functions --------------------------------------
 
 
 def _mark_columns(t: int, order: int, marks: bool) -> list[list[int]]:

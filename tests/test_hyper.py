@@ -576,24 +576,31 @@ def test_eval_phi_is_independent_of_the_first_window(monkeypatch, t):
 
 
 def binomial_windows(monkeypatch, check):
-    """The (order, width) of every input window the Pochhammer kernel sees
-    while ``check`` runs; at least one call must reach it."""
+    """The (order, width) of every input window the Pochhammer kernel, or
+    the z-column walk of a series side at each step, sees while ``check``
+    runs; at least one call must reach them."""
     windows = []
     kernel = qseries.qs_pochhammer_ratio
+    column_step = qseries.ZColumns.pochhammer_ratio
 
     def wrapped(a, num, den):
         windows.append((a.order, a.order - a.min_exp))
         return kernel(a, num, den)
 
+    def wrapped_step(columns, num, den, lift=0):
+        windows.append((columns.order, columns.order - columns.q0))
+        return column_step(columns, num, den, lift)
+
     monkeypatch.setattr(qseries, "qs_pochhammer_ratio", wrapped)
     monkeypatch.setattr(hyper, "qs_pochhammer_ratio", wrapped)
+    monkeypatch.setattr(qseries.ZColumns, "pochhammer_ratio", wrapped_step)
     assert check()
     assert windows, "no Pochhammer kernel call was recorded"
     return windows
 
 
 def widest_binomial_window(monkeypatch, check):
-    """The widest input window the Pochhammer kernel sees while ``check`` runs."""
+    """The widest input window the kernel or the column walk sees while ``check`` runs."""
     return max(width for _, width in binomial_windows(monkeypatch, check))
 
 

@@ -1321,6 +1321,96 @@ def test_pochhammer_ratio_rejects_a_divergent_family_cancelled_or_not(num, den):
         qseries.qs_pochhammer_ratio(QSeries.one(8), num, den)
 
 
+# -- z-column buffer -----------------------------------------------------
+
+
+def column_ratio(a, num, den, lift=0):
+    """The ratio through the z-column buffer: rows to columns, the passes,
+    and back to rows."""
+    columns = qseries.ZColumns.from_series(a)
+    columns.pochhammer_ratio(num, den, lift)
+    return columns.to_series()
+
+
+def lifted(families, lift):
+    return [(b * Q(lift), n) for b, n in families]
+
+
+z_steps = st.integers(min_value=-2, max_value=2)
+lifts = st.integers(min_value=0, max_value=2)
+
+
+@settings(max_examples=300)
+@given(
+    sparse_series(),
+    st.builds(QMonomial, st.sampled_from((1, -1)), z_steps, st.integers(-3, 5)),
+    st.integers(min_value=0, max_value=6),
+    lifts,
+)
+@example(QSeries(-4, [zp({-1: 5, 2: -1}), zp({}), zp({0: 2**70})], 7), QMonomial(-1, 2, -3), 6, 0)
+@example(QSeries(0, [zp({0: 1}), zp({1: -1})], 9), QMonomial(1, -2, 0), 5, 0)
+@example(QSeries(2, [zp({1: 2**70, -1: -(2**70)})], 8), QMonomial(1, 0, 0), 1, 0)
+@example(QSeries.zero(3), QMonomial(-1, 1, -3), 6, 1)
+def test_column_products_match_the_kernel(a, mono, n, lift):
+    expected = qseries.qs_pochhammer_ratio(a, lifted([(mono, n)], lift), ())
+    assert column_ratio(a, [(mono, n)], (), lift) == expected
+
+
+@settings(max_examples=300)
+@given(
+    sparse_series(),
+    st.builds(QMonomial, st.sampled_from((1, -1)), z_steps, st.integers(1, 5)),
+    st.integers(min_value=0, max_value=6),
+    lifts,
+)
+@example(QSeries(-4, [zp({-1: 5, 2: -1}), zp({}), zp({0: 2**70})], 7), QMonomial(1, -1, 2), 4, 0)
+@example(QSeries.one(30), QMonomial(-1, 0, 1), 6, 0)
+@example(QSeries.one(30), QMonomial(-1, 2, 1), 3, 0)
+@example(QSeries(-1, [zp({2: 1}), zp({}), zp({-2: 3})], 20), QMonomial(-1, -2, 3), 2, 1)
+def test_column_quotients_match_the_kernel(a, mono, n, lift):
+    expected = qseries.qs_pochhammer_ratio(a, (), lifted([(mono, n)], lift))
+    assert column_ratio(a, (), [(mono, n)], lift) == expected
+
+
+@given(sparse_series())
+@example(QSeries(-3, [zp({}), zp({-6: 2**70, 6: -1}), zp({})], 2))
+@example(QSeries.zero(-2))
+def test_columns_round_trip_to_the_same_rows(a):
+    assert qseries.ZColumns.from_series(a).to_series() == a
+
+
+@given(sparse_series(), monomials, st.integers(min_value=0, max_value=4))
+@example(QSeries.zero(2), QMonomial(1, 0, 0), 0)
+@example(QSeries(3, [zp({2: 1})], 6), QMonomial(-1, 1, 1), 1)
+@example(QSeries(-2, [zp({0: -1})], -1), QMonomial(1, 0, 2), 0)
+def test_column_step_matches_the_series_operations(a, mono, cut):
+    # the rest of an eval_phi step: shift, truncate, then + 1
+    order = a.order + mono.q_exp - cut
+    columns = qseries.ZColumns.from_series(a)
+    columns.times_monomial(mono)
+    columns.truncate(order)
+    columns.add_one()
+    assert columns.to_series() == (a * mono).truncate(order) + 1
+
+
+def test_columns_never_widen_the_window():
+    columns = qseries.ZColumns.from_series(QSeries.one(4))
+    with pytest.raises(InsufficientOrder):
+        columns.truncate(5)
+
+
+@pytest.mark.parametrize(
+    "num, den, lift",
+    [([], [(Q(0), 3)], 0), ([(Q(0), 3)], [(Q(0), 3)], 0), ([], [(Q(-2), 3)], 1)],
+    ids=["alone", "shared", "lifted"],
+)
+def test_column_ratio_rejects_a_divergent_family_as_the_kernel(num, den, lift):
+    with pytest.raises(DivergentProduct, match="q-exponent -?[0-9]+ is below 1"):
+        column_ratio(QSeries.one(8), num, den, lift)
+    # lifted past q^0 the same family divides
+    column_ratio(QSeries.one(8), num, den, lift + 2)
+
+
 # -- streamed sums -------------------------------------------------------
 
 
