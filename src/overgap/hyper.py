@@ -38,11 +38,12 @@ the bounded-gap generating function to its closed form.  Chain lines 3-4
 are the two sides of the transformation at (q, q, -zq^(t+1); -zq^2,
 q^(t+2)) and lines 5-6 the two sides of q-Chu-Vandermonde at (-z, -zq,
 t), each times its prefactor; the chain and the two checks compute those
-sides with the same code.  The q-Chu-Vandermonde sum is one call to the
-row kernel, so chain lines 5 = 6 and the ``chu`` suite check the column
-walk of the series against the row kernel.  Chain line 2 walks forward
-from its first term, keeping the running term only to the order, as no
-later term reads it further; a nested walk of it was slower.  Chain
+sides with the same code.  The q-Chu-Vandermonde sum is two calls to
+the row kernel, (c/a; q)_n and then its quotient by (c; q)_n, so chain
+lines 5 = 6 and the ``chu`` suite check the column walk of the series
+against the row kernel.  Chain line 2 walks forward from its first
+term, keeping the running term only to the order, as no later term
+reads it further; a nested walk of it was slower.  Chain
 lines 1 and 2 stream their terms into :func:`~overgap.qseries.qs_sum`,
 which merges each row into the sum in place, so no list of terms is
 kept.  Every Pochhammer quotient, finite or infinite, is divided out in
@@ -314,7 +315,7 @@ def check_3phi2_transform(
 
 def _quotient_terms(term: QSeries, t: int, order: int) -> Iterator[QSeries]:
     """Chain line 2's terms from its first, r = 1, up to the first zero one:
-    term r+1 is term r times q (1 - q^r) (1 - zq^(r+t)) / ((1 - q^(r+t+1))
+    term r+1 is term r times q (1 - q^r) (1 + zq^(r+t)) / ((1 - q^(r+t+1))
     (1 + zq^(r+1)))."""
     r = 1
     while not term.is_zero():

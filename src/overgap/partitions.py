@@ -24,7 +24,9 @@ visits every partition shape (the parts without their marks) whose gap
 is at most the largest bound and weighs each by the mark histogram of
 its number of distinct sizes, a row of binomial coefficients, since it
 depends on nothing else.  The enumerators only enter shapes that belong
-to the family, so no member is built and then thrown away.
+to the family, so no member is built and then thrown away.  The CLI's
+``table --check`` and ``gf`` suite count with the shape sweep; the
+member count is the tests' oracle of the sweep and the fiber check's.
 """
 
 from __future__ import annotations

@@ -70,8 +70,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, cycle
-from operator import add, mul, neg, sub
+from itertools import accumulate, compress
+from operator import add, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -798,6 +798,17 @@ def _without(
     return kept
 
 
+def _check_convergent(den: Sequence[tuple[QMonomial, int]], lift: int = 0) -> None:
+    """Refuse a denominator family (c q^lift; q)_m, m > 0, whose
+    q-exponent is below 1: dividing by it diverges."""
+    for c, m in den:
+        if m > 0 and c.q_exp + lift < 1:
+            c = QMonomial(c.sign, c.z_exp, c.q_exp + lift)
+            raise DivergentProduct(
+                f"cannot divide by ({c}; q)_{m}: its q-exponent {c.q_exp} is below 1"
+            )
+
+
 def qs_pochhammer_ratio(
     a: QSeries,
     num: Sequence[tuple[QMonomial, int]],
@@ -823,11 +834,7 @@ def qs_pochhammer_ratio(
     each such pass drops the top -s rows.  The quotient passes then run
     upward, adding c * row (e - s), already divided, into row e.
     """
-    for c, m in den:
-        if m > 0 and c.q_exp < 1:
-            raise DivergentProduct(
-                f"cannot divide by ({c}; q)_{m}: its q-exponent {c.q_exp} is below 1"
-            )
+    _check_convergent(den)
     width = a.order - a.min_exp
     num = [(b, min(n, width - b.q_exp)) for b, n in num]
     den = [(c, min(m, width - c.q_exp)) for c, m in den]
@@ -920,29 +927,6 @@ def _over_one_minus(col: list[int], s: int) -> None:
             col[at:at + s] = map(add, col[at:at + s], col[at - s:at])
 
 
-_ALTERNATING = (1, -1)
-
-
-def _over_one_plus(col: list[int], s: int) -> None:
-    """col /= (1 + q^s) in place, for s >= 1: col[e] -= col[e - s], upward.
-
-    The signed twin of :func:`_over_one_minus`: along a long residue class
-    the alternating signs (-1)^i, applied before and after, turn the
-    recurrence into a running sum; otherwise each block of s entries
-    subtracts the block below it, already divided.
-    """
-    width = len(col)
-    if s >= width:
-        return
-    if s * s <= width:
-        for r in range(s):
-            signed = accumulate(map(mul, col[r::s], cycle(_ALTERNATING)))
-            col[r::s] = map(mul, signed, cycle(_ALTERNATING))
-    else:
-        for at in range(s, width, s):
-            col[at:at + s] = map(sub, col[at:at + s], col[at - s:at])
-
-
 class ZColumns:
     """A working buffer that holds a truncated series as dense integer
     z-columns, for a walk of many Pochhammer passes over one series.
@@ -1007,12 +991,7 @@ class ZColumns:
         numerator and a denominator family share are not cancelled: they
         cost their two passes.
         """
-        for c, m in den:
-            if m > 0 and c.q_exp + lift < 1:
-                c = QMonomial(c.sign, c.z_exp, c.q_exp + lift)
-                raise DivergentProduct(
-                    f"cannot divide by ({c}; q)_{m}: its q-exponent {c.q_exp} is below 1"
-                )
+        _check_convergent(den, lift)
         width = self.order - self.q0
         for passes, families in ((self._times, num), (self._over, den)):
             for b, n in families:
@@ -1104,12 +1083,18 @@ class ZColumns:
         """Divide by (1 - sign*z^j q^s), j >= 0, 1 <= s < width: column k
         adds sign times column k-j, already divided, shifted up by s, so
         the columns run upward in k and grow the z-range while the new
-        columns are nonzero."""
+        columns are nonzero.  With no z (j = 0) each column divides on
+        its own, and 1/(1 + q^s) = (1 - q^s)/(1 - q^(2s)) makes the
+        sign -1 a product pass and a division by (1 - q^(2s)), both
+        exact on any window."""
         columns = self.columns
         if not j:
-            over = _over_one_minus if sign == 1 else _over_one_plus
             for col in columns:
-                over(col, s)
+                if sign == -1:
+                    _times_one_minus(col, s)
+                    _over_one_minus(col, 2 * s)
+                else:
+                    _over_one_minus(col, s)
             return
         width = self.order - self.q0
         op = add if sign == 1 else sub

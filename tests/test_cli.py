@@ -92,14 +92,21 @@ def test_table_check_passes(capsys):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("z", ["tracked", "zero", "one"])
+def test_table_check_passes_in_every_z_mode(capsys, z):
+    code, _, err = run(capsys, "table", "--check", "--t", "10", "--max-n", "40", "--z", z)
+    assert code == 0 and err == ""
+
+
 def test_table_check_names_first_difference(capsys, monkeypatch):
-    real = cli.gf_from_enumeration
+    real = cli.enumerated_bounded_gap_gf
 
-    def bumped(family, t, max_n):
+    def bumped(ts, max_n):
         # one extra overpartition of 5 with one mark
-        return real(family, t, max_n) + QSeries.from_terms({5: ZLaurentPoly({1: 1})}, max_n + 1)
+        extra = QSeries.from_terms({5: ZLaurentPoly({1: 1})}, max_n + 1)
+        return {t: series + extra for t, series in real(ts, max_n).items()}
 
-    monkeypatch.setattr(cli, "gf_from_enumeration", bumped)
+    monkeypatch.setattr(cli, "enumerated_bounded_gap_gf", bumped)
     closed = bounded_gap_overpartition_gf(2, 9).zq_coeff(5, 1)
     code, out, err = run(capsys, "table", "--t", "2", "--max-n", "8", "--check")
     assert code == 2 and out == ""

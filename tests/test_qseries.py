@@ -1367,6 +1367,9 @@ def test_column_products_match_the_kernel(a, mono, n, lift):
 @example(QSeries.one(30), QMonomial(-1, 0, 1), 6, 0)
 @example(QSeries.one(30), QMonomial(-1, 2, 1), 3, 0)
 @example(QSeries(-1, [zp({2: 1}), zp({}), zp({-2: 3})], 20), QMonomial(-1, -2, 3), 2, 1)
+# s < width <= 2s: 1/(1 + q^s) is (1 - q^s)/(1 - q^(2s)), the latter past the window
+@example(QSeries.one(5), QMonomial(-1, 0, 3), 2, 0)
+@example(QSeries(-2, [zp({0: 2**70}), zp({}), zp({1: -3})], 4), QMonomial(-1, 0, 2), 3, 0)
 def test_column_quotients_match_the_kernel(a, mono, n, lift):
     expected = qseries.qs_pochhammer_ratio(a, (), lifted([(mono, n)], lift))
     assert column_ratio(a, (), [(mono, n)], lift) == expected
