@@ -767,34 +767,28 @@ def qs_invert(a: QSeries, target_order: int) -> QSeries:
 # -- Pochhammer symbols ----------------------------------------------------
 
 
-def pochhammer_min_exp(a: QMonomial, n: int) -> int:
-    """Lowest possible q-exponent of (a; q)_n: its factors' negative ones."""
-    return sum(a.q_exp + k for k in range(min(n, -a.q_exp)))
+def _factors(
+    families: Sequence[tuple[QMonomial, int]], width: int, lift: int = 0
+) -> list[tuple[int, int, int]]:
+    """The factors (1 - b*q^s) of the families (b q^lift; q)_n, as
+    (sign, z_exp, s) in family order, leaving out every factor whose s
+    reaches the window's width: it changes nothing there."""
+    return [
+        (b.sign, b.z_exp, s)
+        for b, n in families
+        for s in range(b.q_exp + lift, min(b.q_exp + lift + n, width))
+    ]
 
 
-def _factors(families: Sequence[tuple[QMonomial, int]]) -> list[tuple[int, int, int]]:
-    """The factors (1 - b*q^s) of the families, as (sign, z_exp, s) keys."""
-    return [(b.sign, b.z_exp, s) for b, n in families for s in range(b.q_exp, b.q_exp + n)]
-
-
-def _without(
-    families: Sequence[tuple[QMonomial, int]], drop: Counter
-) -> list[tuple[QMonomial, int]]:
-    """The families with ``drop``'s counts of their factors taken out,
-    from the first family on; a family keeps its place, as the runs of
-    factors left around those taken out."""
+def _without(factors: list[tuple[int, int, int]], drop: Counter) -> list[tuple[int, int, int]]:
+    """The factors, in order, with ``drop``'s counts of them taken out from
+    the first on."""
     kept = []
-    for b, n in families:
-        start, end = b.q_exp, b.q_exp + n
-        for s in range(start, end):
-            key = (b.sign, b.z_exp, s)
-            if drop[key]:
-                drop[key] -= 1
-                if s > start:
-                    kept.append((QMonomial(b.sign, b.z_exp, start), s - start))
-                start = s + 1
-        if end > start:
-            kept.append((QMonomial(b.sign, b.z_exp, start), end - start))
+    for key in factors:
+        if drop[key]:
+            drop[key] -= 1
+        else:
+            kept.append(key)
     return kept
 
 
@@ -818,54 +812,49 @@ def qs_pochhammer_ratio(
     (c; q)_m for each (c, m) in ``den``, which needs every c.q_exp >= 1.
 
     Factors whose q-exponent reaches the window's width change nothing and
-    are skipped.  A factor (1 - b*q^s) that a numerator and a denominator
-    family share (same sign, z-exponent and s) cancels before any pass; a
-    family split by the cancelled factors keeps its place as its runs.  So
-    a quotient of infinite products costs what its telescoped form does:
-    (a; q)_inf / (a*q^k; q)_inf is the k passes of (a; q)_k.  Every shared
-    s is at least 1, so the window stays; with no factor left, ``a`` is
-    returned.
+    are skipped (:func:`_factors`).  A factor (1 - b*q^s) that a numerator
+    and a denominator family share (same sign, z-exponent and s) cancels
+    before any pass, so a quotient of infinite products costs what its
+    telescoped form does: (a; q)_inf / (a*q^k; q)_inf is the k passes of
+    (a; q)_k.  Every shared s is at least 1, so the window stays; with no
+    factor left, ``a`` is returned.
 
     The rows are copied once and every factor left is one in-place pass
-    over them.  A product pass adds -b * row (e - s) into row e, each row
-    read before it is written: downward for s > 0, upward for s < 0, from a
-    snapshot for s = 0.  A negative s lowers the window by -s and keeps its
-    width, so the rows are laid once from the summed negative exponents and
-    each such pass drops the top -s rows.  The quotient passes then run
-    upward, adding c * row (e - s), already divided, into row e.
+    over them, in family order.  A product pass adds -b * row (e - s) into
+    row e, each row read before it is written: downward for s > 0, upward
+    for s < 0, from a snapshot for s = 0.  A negative s lowers the window
+    by -s and keeps its width, so the rows are laid once from the summed
+    negative exponents and each such pass drops the top -s rows.  The
+    quotient passes then run upward, adding c * row (e - s), already
+    divided, into row e.
     """
     _check_convergent(den)
     width = a.order - a.min_exp
-    num = [(b, min(n, width - b.q_exp)) for b, n in num]
-    den = [(c, min(m, width - c.q_exp)) for c, m in den]
-    num_factors, den_factors = _factors(num), _factors(den)
-    if not set(num_factors).isdisjoint(den_factors):
-        shared = Counter(num_factors) & Counter(den_factors)
+    num, den = _factors(num, width), _factors(den, width)
+    if not set(num).isdisjoint(den):
+        shared = Counter(num) & Counter(den)
         num, den = _without(num, shared.copy()), _without(den, shared)
-    if all(n <= 0 for _, n in num + den):
+    if not num and not den:
         return a
     # the negative factors lower the window by -low: lay a's rows that far up
-    low = sum(pochhammer_min_exp(b, n) for b, n in num)
+    low = sum(s for _, _, s in num if s < 0)
     rows: list[dict[int, int]] = [{} for _ in range(width - low)]
     rows[-low:len(a.coeffs) - low] = [dict(row._terms) for row in a.coeffs]
     known = len(rows)  # rows at and past this one lie past the window
-    for b, n in num:
-        z_shift, neg_sign = b.z_exp, -b.sign
-        for s in range(b.q_exp, b.q_exp + n):
-            if s < 0:
-                known += s
-            for i in range(known) if s < 0 else range(known - 1, s - 1, -1):
-                src = rows[i - s]
-                if src:
-                    _add_into(rows[i], dict(src) if s == 0 else src, z_shift, neg_sign)
+    for sign, z_shift, s in num:
+        sign = -sign
+        if s < 0:
+            known += s
+        for i in range(known) if s < 0 else range(known - 1, s - 1, -1):
+            src = rows[i - s]
+            if src:
+                _add_into(rows[i], dict(src) if s == 0 else src, z_shift, sign)
     del rows[known:]
-    for c, m in den:
-        z_shift, sign = c.z_exp, c.sign
-        for s in range(c.q_exp, c.q_exp + m):
-            for i in range(s, width):
-                src = rows[i - s]
-                if src:
-                    _add_into(rows[i], src, z_shift, sign)
+    for sign, z_shift, s in den:
+        for i in range(s, width):
+            src = rows[i - s]
+            if src:
+                _add_into(rows[i], src, z_shift, sign)
     return QSeries(a.min_exp + low, [ZLaurentPoly._make(r) for r in rows], a.order + low)
 
 
@@ -879,7 +868,7 @@ def pochhammer(a: QMonomial, n: int, target_order: int) -> QSeries:
     """
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    low = pochhammer_min_exp(a, n)
+    low = sum(range(a.q_exp, min(a.q_exp + n, 0)))  # the negative factors' exponents
     if target_order <= low:
         return QSeries.zero(target_order)
     start = QSeries.one(target_order - low)
@@ -986,21 +975,20 @@ class ZColumns:
         applies the same families one q-step higher each time build them
         once.
 
-        Factors whose q-exponent reaches the window's width are skipped; a
-        negative one lowers the window and keeps its width.  Factors that a
-        numerator and a denominator family share are not cancelled: they
-        cost their two passes.
+        Factors whose q-exponent reaches the window's width are skipped by
+        the kernel's rule, :func:`_factors`; a negative one lowers the
+        window and keeps its width.  Factors that a numerator and a
+        denominator family share are not cancelled: they cost their two
+        passes.
         """
         _check_convergent(den, lift)
         width = self.order - self.q0
         for passes, families in ((self._times, num), (self._over, den)):
-            for b, n in families:
-                start = b.q_exp + lift
-                for s in range(start, min(start + n, width)):
-                    if b.z_exp < 0:
-                        self._flipped(passes, b.sign, b.z_exp, s)
-                    else:
-                        passes(b.sign, b.z_exp, s)
+            for sign, j, s in _factors(families, width, lift):
+                if j < 0:
+                    self._flipped(passes, sign, j, s)
+                else:
+                    passes(sign, j, s)
         self._trim()
 
     def times_monomial(self, mono: QMonomial) -> None:
@@ -1061,10 +1049,6 @@ class ZColumns:
         if not columns:
             return
         width = self.order - self.q0
-        if sign == 1 and not j and s > 0:
-            for col in columns:
-                _times_one_minus(col, s)
-            return
         op = sub if sign == 1 else add
         sources = columns
         if s < 0:

@@ -1,6 +1,8 @@
 """The two weight-preserving maps, their fibers, and the counting identity."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +369,48 @@ def test_merge_fiber_round_trip_random(case):
     assert len(report.fiber) == report.expected_size
     for beta in report.fiber:
         assert merge(beta, t) == mu
+
+
+FAR_WEIGHT = 2000
+
+
+def random_bounded_parts(rng, t):
+    """A bounded-parts member of weight FAR_WEIGHT: parts drawn at random
+    up to t, and each size below t marked at random."""
+    counts, left = Counter(), FAR_WEIGHT
+    while left:
+        part = rng.randint(1, min(t, left))
+        counts[part] += 1
+        left -= part
+    return Overpartition(
+        (size, counts[size], size < t and rng.random() < 0.5)
+        for size in sorted(counts, reverse=True)
+    )
+
+
+@pytest.mark.parametrize("t, draws", [(3, 20), (10, 50)])
+def test_fibers_of_random_members_far_past_enumeration(t, draws):
+    """Both fibers over seeded members of weight 2,000, where enumeration
+    stops near weight 25.  Every check holds over each image on its own,
+    so the draws need not be uniform over the family."""
+    rng = random.Random(t)
+    maps_and_domains = [
+        (fold_preimages, fold, lambda pi: is_bounded_gap(pi, t)),
+        (merge_preimages, merge, lambda beta: beta.t == t and beta.second.largest <= t),
+    ]
+    for _ in range(draws):
+        mu = random_bounded_parts(rng, t)
+        m = mu.multiplicity(t)
+        for preimages, apply_map, in_domain in maps_and_domains:
+            fiber = preimages(mu, t).fiber
+            assert len(fiber) == (2 * m if mu.num_parts == m else 2 * m + 1)
+            assert len(set(fiber)) == len(fiber)
+            marks = Counter(member.num_marked for member in fiber)
+            assert marks == {mu.num_marked: len(fiber) - m, mu.num_marked + 1: m}
+            for member in fiber:
+                assert in_domain(member)
+                assert member.weight == FAR_WEIGHT
+                assert apply_map(member, t) == mu
 
 
 # -- the maps on runs against their part-list definitions ---------------------

@@ -1351,6 +1351,8 @@ lifts = st.integers(min_value=0, max_value=2)
 @example(QSeries(0, [zp({0: 1}), zp({1: -1})], 9), QMonomial(1, -2, 0), 5, 0)
 @example(QSeries(2, [zp({1: 2**70, -1: -(2**70)})], 8), QMonomial(1, 0, 0), 1, 0)
 @example(QSeries.zero(3), QMonomial(-1, 1, -3), 6, 1)
+# a lifted family that crosses the window's width: only s = 5 applies
+@example(QSeries.one(6), QMonomial(1, 1, 3), 4, 2)
 def test_column_products_match_the_kernel(a, mono, n, lift):
     expected = qseries.qs_pochhammer_ratio(a, lifted([(mono, n)], lift), ())
     assert column_ratio(a, [(mono, n)], (), lift) == expected
@@ -1370,6 +1372,9 @@ def test_column_products_match_the_kernel(a, mono, n, lift):
 # s < width <= 2s: 1/(1 + q^s) is (1 - q^s)/(1 - q^(2s)), the latter past the window
 @example(QSeries.one(5), QMonomial(-1, 0, 3), 2, 0)
 @example(QSeries(-2, [zp({0: 2**70}), zp({}), zp({1: -3})], 4), QMonomial(-1, 0, 2), 3, 0)
+# lifted families at the window's width: no factor applies, then only s = 5
+@example(QSeries.one(6), QMonomial(-1, 0, 4), 3, 2)
+@example(QSeries.one(6), QMonomial(1, 1, 3), 4, 2)
 def test_column_quotients_match_the_kernel(a, mono, n, lift):
     expected = qseries.qs_pochhammer_ratio(a, (), lifted([(mono, n)], lift))
     assert column_ratio(a, (), [(mono, n)], lift) == expected
