@@ -152,34 +152,26 @@ def _check_print_budget(parts: int) -> None:
 
 
 def _render_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
+    table = [header, *rows]
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(row) for row in rows)
-        return "\n".join(lines) + "\n"
-    widths = [len(cell) for cell in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(cell.rjust(widths[i]) for i, cell in enumerate(header))]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
+        lines = map(",".join, table)
+    else:
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = ("  ".join(map(str.rjust, row, widths)) for row in table)
     return "\n".join(lines) + "\n"
 
 
 def _cmd_table(args) -> int:
     t, max_n = args.t, args.max_n
-    if args.z == "tracked":
-        series = bounded_gap_overpartition_gf(t, max_n + 1, z_tracked=True)
-    elif args.z == "one":
-        series = bounded_gap_overpartition_gf(t, max_n + 1, z_tracked=False)
-    else:
+    tracked, zero = args.z == "tracked", args.z == "zero"
+    if zero:
         series = bounded_gap_partition_gf(t, max_n + 1)
+    else:
+        series = bounded_gap_overpartition_gf(t, max_n + 1, z_tracked=tracked)
     if args.check:
         reference = enumerated_bounded_gap_gf([t], max_n)[t]
-        if args.z == "zero":
-            reference = reference.subs_z(0)
-        elif args.z == "one":
-            reference = reference.subs_z(1)
+        if not tracked:
+            reference = reference.subs_z(0 if zero else 1)
         diff = series.first_difference(reference, max_n + 1)
         if diff is not None:
             n, m, closed, counted = diff
@@ -190,7 +182,6 @@ def _cmd_table(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    tracked = args.z == "tracked"
     polys = [series.coeff(n) for n in range(1, max_n + 1)]
     columns = [0]
     if tracked:
@@ -204,9 +195,9 @@ def _cmd_table(args) -> int:
         payload = {"t": t, "max_n": max_n, "z": args.z}
         if tracked:
             payload["columns"] = columns
-            payload["rows"] = [{"n": int(row[0]), "counts": row[1:]} for row in rows]
+            payload["rows"] = [{"n": n, "counts": row[1:]} for n, row in enumerate(rows, 1)]
         else:
-            payload["rows"] = [{"n": int(row[0]), "count": row[1]} for row in rows]
+            payload["rows"] = [{"n": n, "count": row[1]} for n, row in enumerate(rows, 1)]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         header = ["n"] + ([f"m={m}" for m in columns] if tracked else ["count"])

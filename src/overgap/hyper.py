@@ -59,9 +59,11 @@ takes all four infinite families on the one series, times the partner
 series.  The kernel cancels the factors the families share, so at the
 chain's parameters the prefactor telescopes to (1 - q^(t+1)) / (1 - q)
 and costs two passes.  Chain line 7, the closed form, is the one line
-built apart from the kernel and the column walk (from the q-binomial
-z-columns, in :func:`qseries.bounded_gap_overpartition_gf`), so the
-last link of the chain checks the kernel against another method.
+built by neither the kernel's passes nor the column walk's (from the
+q-binomial z-columns, in :func:`qseries.bounded_gap_overpartition_gf`);
+it shares only the column-to-row conversion,
+:meth:`~overgap.qseries.ZColumns.to_series`, with the walk, so the last
+link of the chain checks the kernel against another method.
 """
 
 from __future__ import annotations

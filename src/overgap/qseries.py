@@ -38,8 +38,11 @@ The bounded-gap closed forms are the one Pochhammer quotient built
 apart from that kernel: the finite q-binomial theorem splits
 (-zq; q)_t / (q; q)_t into z^k columns, each a dense list of integers
 over the window, and every factor (1 - q^s) is one slice pass over a
-column.  So :func:`bounded_gap_overpartition_gf` is a method
-independent of the kernel that the hypergeometric chain runs on.
+column.  The columns become rows through :meth:`ZColumns.to_series`,
+the conversion the column walk ends with, but neither
+:func:`qs_pochhammer_ratio` nor :meth:`ZColumns.pochhammer_ratio` runs a
+pass on them.  So :func:`bounded_gap_overpartition_gf` is a method
+independent of the kernels that the hypergeometric chain runs on.
 Every other product runs through one kernel, :func:`qs_mul`, a
 schoolbook product over the sparse rows: each pair of nonzero rows that
 lands in the window merges its product into one output row through
@@ -1152,15 +1155,12 @@ def _mark_columns(t: int, order: int, marks: bool) -> list[list[int]]:
 
 
 def _gap_series(t: int, columns: list[list[int]]) -> QSeries:
-    """(sum_k z^k columns[k] - 1) / (1 - q^t), columns over q^0..q^(order-1)."""
+    """(sum_k z^k columns[k] - 1) / (1 - q^t), columns over q^0..q^(order-1),
+    turned into rows by :meth:`ZColumns.to_series`."""
     columns[0][0] -= 1
     for col in columns:
         _over_one_minus(col, t)
-    rows = [
-        ZLaurentPoly._make({k: c for k, c in enumerate(row) if c})
-        for row in zip(*columns)
-    ]
-    return QSeries(0, rows, len(columns[0]))
+    return ZColumns(0, len(columns[0]), 0, columns).to_series()
 
 
 def _check_gap_window(t: int, order: int) -> None:

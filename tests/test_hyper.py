@@ -216,6 +216,20 @@ def test_transform_rejects_what_its_factors_reject():
         check_3phi2_transform(Q(1), Q(-1), Q(3), Q(1), Q(2), 12)
 
 
+@pytest.mark.parametrize("order", [8, 20, 40])
+def test_transform_with_a_laurent_partner_series(order):
+    # (a, b, c, d, e) = (zq^3, q^-3, -q^4, -z^-1 q, -z^-1 q^4): the partner
+    # series starts at q^-3 and its negative z-exponents run the flipped
+    # column passes, so the prefactor must be known 3 past the order
+    a, b, c = QMonomial(1, 1, 3), Q(-3), QMonomial(-1, 0, 4)
+    d, e = QMonomial(-1, -1, 1), QMonomial(-1, -1, 4)
+    partner = eval_phi(
+        HypergeometricSpec((a, d / b, d / c), (d, (d * e) / (b * c)), e / a), None, order
+    )
+    assert partner.min_exp < 0
+    assert check_3phi2_transform(a, b, c, d, e, order)
+
+
 @pytest.mark.parametrize("order", [0, -3])
 def test_transform_at_the_cli_parameters_on_an_empty_window(order):
     # the prefactor starts from the zero series when its window is empty
