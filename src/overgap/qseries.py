@@ -14,7 +14,8 @@ loop, ``_add_into``, which adds a scaled, z-shifted term map into a row
 in place and drops the coefficients that cancel.  :func:`qs_sum`
 streams any number of series into one row dict per q-exponent through
 it, so a running sum copies no row and keeps no term; the sums of
-``hyper``'s chain lines 1 and 2 are each one such call.
+``hyper``'s chain lines 1 and 2 are each one such call, and ``+`` and
+``-`` on series are ``qs_sum`` of two terms.
 
 Every Pochhammer product and quotient runs through one kernel,
 :func:`qs_pochhammer_ratio`: it multiplies by some (b; q)_n and divides
@@ -270,7 +271,13 @@ class ZLaurentPoly:
 
     @classmethod
     def from_json_terms(cls, terms: Iterable[dict]) -> "ZLaurentPoly":
-        return cls({int(item["z"]): int(item["c"]) for item in terms})
+        kept: dict[int, int] = {}
+        for item in terms:
+            exp = int(item["z"])
+            if exp in kept:
+                raise ValueError(f"z-exponent {exp} appears twice")
+            kept[exp] = int(item["c"])
+        return cls(kept)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -508,28 +515,11 @@ class QSeries:
             return QSeries.from_terms({0: other}, self.order)
         return None
 
-    def _plus(self, rhs: "QSeries", scale: int) -> "QSeries":
-        """self + scale * rhs on the intersection of the known windows."""
-        order = min(self.order, rhs.order)
-        lo = min(self.min_exp, rhs.min_exp)
-        if lo >= order:
-            return QSeries.zero(order)
-        width = order - lo
-        rows = [_Z_ZERO] * width
-        for pos, coeff in zip(range(self.min_exp - lo, width), self.coeffs):
-            rows[pos] = coeff
-        for pos, coeff in zip(range(rhs.min_exp - lo, width), rhs.coeffs):
-            if coeff._terms:
-                out = dict(rows[pos]._terms)
-                _add_into(out, coeff._terms, 0, scale)
-                rows[pos] = ZLaurentPoly._make(out)
-        return QSeries(lo, rows, order)
-
     def __add__(self, other) -> "QSeries":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._plus(rhs, 1)
+        return qs_sum((self, rhs), min(self.order, rhs.order))
 
     __radd__ = __add__
 
@@ -540,13 +530,13 @@ class QSeries:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._plus(rhs, -1)
+        return self + -rhs
 
     def __rsub__(self, other) -> "QSeries":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs._plus(self, -1)
+        return rhs + -self
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, int):
@@ -606,6 +596,8 @@ class QSeries:
             exp = int(entry["q"])
             if exp < min_exp or exp >= order:
                 raise ValueError(f"q-exponent {exp} outside [{min_exp}, {order})")
+            if exp in terms:
+                raise ValueError(f"q-exponent {exp} appears twice")
             terms[exp] = ZLaurentPoly.from_json_terms(entry["terms"])
         return cls.from_terms(terms, order)
 
@@ -644,12 +636,14 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
 
 def qs_sum(terms: Iterable[QSeries], order: int) -> QSeries:
     """The sum of ``terms``, each known at least to ``order``, on the window
-    [lowest min_exp, order): ``==`` the left fold of ``+`` from the zero
-    series of that order.
+    [lowest min_exp, order); rows of a term at or past ``order`` are
+    dropped, so the result's order is exactly ``order``.  Series ``+`` and
+    ``-`` call it with two terms and the smaller of their orders.
 
     The terms are streamed: each row merges into one row dict per
-    q-exponent through :func:`_add_into`, in place, and one series is built
-    at the end, so no partial sum is copied and no term is kept.
+    q-exponent through :func:`_add_into`, in place, and
+    :meth:`QSeries.from_terms` lays the rows out at the end, so no partial
+    sum is copied and no term is kept.
     """
     rows: dict[int, dict[int, int]] = {}
     for term in terms:
@@ -664,14 +658,7 @@ def qs_sum(terms: Iterable[QSeries], order: int) -> QSeries:
                     rows[exp] = dict(coeff._terms)
                 else:
                     _add_into(row, coeff._terms, 0, 1)
-    if not rows:
-        return QSeries.zero(order)
-    lo = min(rows)
-    return QSeries(
-        lo,
-        [ZLaurentPoly._make(rows[e]) if e in rows else _Z_ZERO for e in range(lo, max(rows) + 1)],
-        order,
-    )
+    return QSeries.from_terms({exp: ZLaurentPoly._make(row) for exp, row in rows.items()}, order)
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:

@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -294,6 +295,37 @@ def test_fiber_identity_checker():
         json.dumps(payload)
     with pytest.raises(ValueError):
         verify_fiber_identity(2, 10, "unknown")
+
+
+@pytest.mark.parametrize(
+    "fiber, failure",
+    [
+        (["7", "4,3", "4,3~", "3,3,1", "5~"], "5~ does not map onto 3,3,1"),
+        (
+            ["7", "4,3", "4,3~", "3,3,1", "3~,3,1", "7"],
+            "fiber census over 3,3,1 is 2*z + 4, expected 2*z + 3",
+        ),
+        (["7", "7", "4,3~", "3,3,1", "3~,3,1"], "fiber over 3,3,1 has repeated members"),
+    ],
+)
+def test_fiber_failure_over_one_image_is_named(monkeypatch, fiber, failure):
+    real = maps.fold_preimages
+    image = parse_overpartition("3,3,1")
+    assert [str(member) for member in real(image, 3).fiber] == [
+        "7", "4,3", "4,3~", "3,3,1", "3~,3,1"
+    ]
+
+    def altered(mu, t):
+        report = real(mu, t)
+        if mu != image:
+            return report
+        return replace(report, fiber=tuple(map(parse_overpartition, fiber)))
+
+    monkeypatch.setattr(maps, "fold_preimages", altered)
+    check = verify_fiber_identity(3, 8, "fold")
+    assert not check.passed
+    assert check.first_failure == failure
+    assert check.first_difference is None
 
 
 def test_fiber_aggregate_failure_names_the_coefficient(monkeypatch, capsys):

@@ -648,6 +648,21 @@ def test_series_json_round_trip():
     assert QSeries.from_json_dict(huge.to_json_dict()) == huge
 
 
+def test_series_json_rejects_a_repeated_q_exponent():
+    text = (
+        '{"coeffs":[{"q":1,"terms":[{"c":"2","z":0}]},{"q":1,"terms":[{"c":"7","z":0}]}],'
+        '"min_exp":0,"order":5}'
+    )
+    with pytest.raises(ValueError, match="q-exponent 1 appears twice"):
+        QSeries.loads(text)
+
+
+def test_series_json_rejects_a_repeated_z_exponent():
+    text = '{"coeffs":[{"q":1,"terms":[{"c":"2","z":3},{"c":"7","z":3}]}],"min_exp":0,"order":5}'
+    with pytest.raises(ValueError, match="z-exponent 3 appears twice"):
+        QSeries.loads(text)
+
+
 def test_str_rendering():
     assert str(QSeries.from_terms({1: zp({0: 1, 1: 1})}, 2)) == "(z + 1)*q + O(q^2)"
     assert str(QSeries.zero(4)) == "0 + O(q^4)"
@@ -1439,8 +1454,15 @@ def test_qs_sum_matches_the_left_fold_of_plus(seed):
         for term in terms:
             folded = folded + term
         before = [term.dumps() for term in terms]
-        assert qseries.qs_sum(iter(terms), order) == folded
+        summed = qseries.qs_sum(iter(terms), order)
+        assert summed == folded
         assert [term.dumps() for term in terms] == before  # no row merged in place
+        # `+` is itself a two-term qs_sum, so also check against the oracle
+        reference: dict = {}
+        for term in terms:
+            reference = poly_add(reference, poly_from_series(term))
+        assert_series_matches(summed, reference)
+        assert summed.order == order
 
 
 def test_qs_sum_of_nothing_is_the_zero_series():
