@@ -234,13 +234,6 @@ def _cmd_fold(args) -> int:
 
 def _cmd_merge(args) -> int:
     source = parse_bipartition(args.input)
-    if source.t != args.t:
-        print(
-            f"error: input is a bipartition at t={source.t}, but --t {args.t} "
-            f"was given",
-            file=sys.stderr,
-        )
-        return 1
     image = merge(source, args.t)
     _check_print_budget(image.num_parts)
     _emit_fields(
@@ -295,60 +288,55 @@ def _cmd_preimages(args) -> int:
 
 
 def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) -> list[dict]:
-    entries: list[dict] = []
-
-    def add(suite: str, t: int, order: int, ok: bool, details: dict) -> None:
-        entries.append(
-            {"suite": suite, "t": t, "order": order, "pass": ok, "details": details}
-        )
-
-    def add_identity(suite: str, t: int, diff, details: dict, sides: tuple[str, str]) -> None:
-        # diff is the check's first difference, None when the sides agree
-        if diff:
-            n, m, lhs, rhs = diff
-            details["first_difference"] = {
-                "q": n, "z": m, sides[0]: str(lhs), sides[1]: str(rhs)
-            }
-        add(suite, t, order, diff is None, details)
-
+    census = enumerated_bounded_gap_gf(ts, order - 1) if "gf" in suites else None
     q1 = QMonomial.q_power(1)
     neg_z = QMonomial(-1, 1, 0)
     neg_zq = QMonomial(-1, 1, 1)
+    entries: list[dict] = []
     for suite in suites:
-        if suite == "gf":
-            census = enumerated_bounded_gap_gf(ts, order - 1)
-            for t in ts:
-                diff = bounded_gap_overpartition_gf(t, order).first_difference(
-                    census[t], order
-                )
-                details = {"compared_to": "enumeration", "max_n": order - 1}
-                add_identity(suite, t, diff, details, ("closed_form", "enumeration"))
-        elif suite == "fibers":
-            for t in ts:
-                for which in ("fold", "merge"):
-                    check = verify_fiber_identity(t, max_n, which)
-                    add(suite, t, max_n, check.passed, check.to_json_dict())
-        elif suite == "chu":
-            for t in ts:
-                diff = check_q_chu_vandermonde(neg_z, neg_zq, t, order, locate=True)
-                details = {"a": str(neg_z), "c": str(neg_zq), "n": t}
-                add_identity(suite, t, diff, details, ("series", "sum"))
-        elif suite == "transform":
-            for t in ts:
-                params = dict(
-                    a=q1,
-                    b=q1,
-                    c=QMonomial(-1, 1, t + 1),
-                    d=QMonomial(-1, 1, 2),
-                    e=QMonomial.q_power(t + 2),
-                )
-                diff = check_3phi2_transform(**params, target_order=order, locate=True)
-                details = {k: str(v) for k, v in params.items()}
-                add_identity(suite, t, diff, details, ("series", "transformed"))
-        elif suite == "chain":
-            for t in ts:
+        for t in ts:
+            # one (pass, details) pair per entry: the fibers suite gives
+            # one per map, the others one each
+            if suite == "fibers":
+                checks = [verify_fiber_identity(t, max_n, which) for which in ("fold", "merge")]
+                results = [(check.passed, check.to_json_dict()) for check in checks]
+            elif suite == "chain":
                 report = verify_identity_chain(t, order)
-                add(suite, t, order, report.passed, report.to_json_dict())
+                results = [(report.passed, report.to_json_dict())]
+            else:
+                if suite == "gf":
+                    series = bounded_gap_overpartition_gf(t, order)
+                    diff = series.first_difference(census[t], order)
+                    details = {"compared_to": "enumeration", "max_n": order - 1}
+                    sides = ("closed_form", "enumeration")
+                elif suite == "chu":
+                    diff = check_q_chu_vandermonde(neg_z, neg_zq, t, order, locate=True)
+                    details = {"a": str(neg_z), "c": str(neg_zq), "n": t}
+                    sides = ("series", "sum")
+                else:
+                    params = dict(
+                        a=q1,
+                        b=q1,
+                        c=QMonomial(-1, 1, t + 1),
+                        d=QMonomial(-1, 1, 2),
+                        e=QMonomial.q_power(t + 2),
+                    )
+                    diff = check_3phi2_transform(**params, target_order=order, locate=True)
+                    details = {k: str(v) for k, v in params.items()}
+                    sides = ("series", "transformed")
+                # diff is the check's first difference, None when the sides agree
+                if diff:
+                    n, m, lhs, rhs = diff
+                    details["first_difference"] = {
+                        "q": n, "z": m, sides[0]: str(lhs), sides[1]: str(rhs)
+                    }
+                results = [(diff is None, details)]
+            # the fibers suite records its weight ceiling as the order
+            span = max_n if suite == "fibers" else order
+            entries += (
+                {"suite": suite, "t": t, "order": span, "pass": ok, "details": details}
+                for ok, details in results
+            )
     return entries
 
 
@@ -357,21 +345,26 @@ def _cmd_verify(args) -> int:
     order = args.order if args.order is not None else _default_order()
     entries = _verify_entries(suites, args.t, order, args.max_n)
     for entry in entries:
-        where = f"{entry['suite']} at t={entry['t']}, order {entry['order']}"
         details = entry["details"]
+        where = f"{entry['suite']} at t={entry['t']}, order {entry['order']}"
+        if entry["suite"] == "fibers":
+            where += f", map {details['which']}"
         # a chain entry carries one first difference per failing line
         failures = [(where, details.get("first_difference"))] + [
             (f"{where}, line {line['label']}", line.get("first_difference"))
             for line in details.get("lines", ())
         ]
-        for place, diff in failures:
-            if diff is not None:
-                values = ", ".join(f"{k} {v}" for k, v in diff.items() if k not in ("q", "z"))
-                print(
-                    f"verify failed: {place}; first difference at q^{diff['q']} "
-                    f"z^{diff['z']}: {values}",
-                    file=sys.stderr,
-                )
+        lines = [
+            f"verify failed: {place}; first difference at q^{diff['q']} z^{diff['z']}: "
+            + ", ".join(f"{k} {v}" for k, v in diff.items() if k not in ("q", "z"))
+            for place, diff in failures
+            if diff is not None
+        ]
+        if not entry["pass"] and not lines:
+            reason = details.get("first_failure")
+            lines.append(f"verify failed: {where}" + (f"; {reason}" if reason else ""))
+        for line in lines:
+            print(line, file=sys.stderr)
     _emit(json.dumps(entries, indent=2) + "\n", args.output)
     return 0 if all(entry["pass"] for entry in entries) else 2
 

@@ -128,7 +128,7 @@ def fold(pi: Overpartition, t: int) -> Overpartition:
 def merge(beta: Bipartition, t: int) -> Overpartition:
     """Merge a bipartition into a single bounded-parts overpartition."""
     if beta.t != t:
-        raise NotInDomain(f"bipartition bound {beta.t} does not match t={t}")
+        raise NotInDomain(f"{beta} is a bipartition at t={beta.t}, but t={t} was given")
     rest = _without_t(beta.second, t)
     total_t = beta.t_count + beta.second.multiplicity(t)
     head = [(t, total_t, False)] if total_t else []
@@ -296,10 +296,11 @@ def verify_fiber_identity(t: int, max_n: int, which: str = "fold") -> FiberCheck
     Per image mu with m copies of t, the fiber's mark census must equal
     (delta + (1 + z) * m) * z^(marks of mu) where delta is 0 when mu
     consists of t's only and 1 otherwise, which also fixes the fiber's
-    size at delta + 2m; every fiber member must map back onto mu, and no
-    member may repeat; and the aggregate census over all images up to
-    weight ``max_n`` must reproduce the generating function of the map's
-    domain family computed by enumeration.
+    size at delta + 2m; every fiber member must lie in the map's domain
+    and map back onto mu, and no member may repeat; and the aggregate
+    census over all images up to weight ``max_n`` must reproduce the
+    generating function of the map's domain family computed by
+    enumeration.
     """
     if which not in ("fold", "merge"):
         raise ValueError("which must be 'fold' or 'merge'")
@@ -315,7 +316,12 @@ def verify_fiber_identity(t: int, max_n: int, which: str = "fold") -> FiberCheck
             census = ZLaurentPoly.zero()
             for member in report.fiber:
                 census = census + ZLaurentPoly.monomial(1, member.num_marked)
-                if apply_map(member, t) != mu:
+                try:
+                    image = apply_map(member, t)
+                except NotInDomain as exc:
+                    failure = f"fiber over {mu} holds a member outside the domain: {exc}"
+                    break
+                if image != mu:
                     failure = f"{member} does not map onto {mu}"
                     break
             if failure:

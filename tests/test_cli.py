@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 import overgap.cli as cli
 import overgap.hyper as hyper
+import overgap.maps as maps
 from overgap.cli import main
-from overgap.partitions import Bipartition, iter_bounded_parts
+from overgap.partitions import Bipartition, iter_bounded_parts, parse_overpartition
 from overgap.qseries import QMonomial, QSeries, ZLaurentPoly, bounded_gap_overpartition_gf
 
 TABLE_T3 = """\
@@ -391,9 +393,43 @@ def test_verify_all_small(capsys):
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_q_chu_vandermonde", lambda *a, **k: False)
-    code, out, _ = run(capsys, "verify", "--suite", "chu", "--t", "1", "--order", "8")
+    code, out, err = run(capsys, "verify", "--suite", "chu", "--t", "1", "--order", "8")
     assert code == 2
     assert json.loads(out)[0]["pass"] is False
+    # no first difference to quote, but stderr still says where
+    assert err == "verify failed: chu at t=1, order 8\n"
+
+
+@pytest.mark.parametrize(
+    "member, failure",
+    [
+        ("5", "5 does not map onto 2,1"),
+        (
+            "9,1",
+            "fiber over 2,1 holds a member outside the domain: 9,1 is not in the "
+            "bounded-gap family for t=2: gap 8 exceeds 2",
+        ),
+    ],
+)
+def test_verify_fiber_failure_names_the_image(capsys, monkeypatch, member, failure):
+    # one member added to the fold fiber over 2,1 fails the check there,
+    # before any first difference exists: the entry and stderr name it
+    real, image = maps.fold_preimages, parse_overpartition("2,1")
+
+    def altered(mu, t):
+        report = real(mu, t)
+        if mu == image:
+            report = replace(report, fiber=report.fiber + (parse_overpartition(member),))
+        return report
+
+    monkeypatch.setattr(maps, "fold_preimages", altered)
+    code, out, err = run(capsys, "verify", "--suite", "fibers", "--t", "2", "--max-n", "6")
+    assert code == 2
+    folded, merged = json.loads(out)
+    assert merged["pass"] is True
+    assert folded["pass"] is False and folded["details"]["first_failure"] == failure
+    assert "first_difference" not in folded["details"]
+    assert err == f"verify failed: fibers at t=2, order 6, map fold; {failure}\n"
 
 
 def test_verify_chain_failure_names_the_coefficient(capsys, monkeypatch):

@@ -218,8 +218,9 @@ def test_merge_worked_examples():
 
 
 def test_merge_requires_matching_bound():
-    with pytest.raises(NotInDomain):
+    with pytest.raises(NotInDomain) as raised:
         merge(bp("[3^1 | 2]"), 2)
+    assert str(raised.value) == "[3^1 | 2] is a bipartition at t=3, but t=2 was given"
 
 
 def test_merge_image_properties():
@@ -306,6 +307,11 @@ def test_fiber_identity_checker():
             "fiber census over 3,3,1 is 2*z + 4, expected 2*z + 3",
         ),
         (["7", "7", "4,3~", "3,3,1", "3~,3,1"], "fiber over 3,3,1 has repeated members"),
+        (
+            ["7", "4,3", "4,3~", "3,3,1", "3~,3,1", "9,1"],
+            "fiber over 3,3,1 holds a member outside the domain: 9,1 is not in the "
+            "bounded-gap family for t=3: gap 8 exceeds 3",
+        ),
     ],
 )
 def test_fiber_failure_over_one_image_is_named(monkeypatch, fiber, failure):
@@ -350,7 +356,12 @@ def test_fiber_aggregate_failure_names_the_coefficient(monkeypatch, capsys):
     assert verify_fiber_identity(3, 8, "fold").first_difference is None
 
     assert main(["verify", "--suite", "fibers", "--t", "2..3", "--max-n", "8"]) == 2
-    entries = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "verify failed: fibers at t=3, order 8, map merge; first difference at q^5 z^1: "
+        f"fibers {counted}, enumeration {counted + 1}\n"
+    )
+    entries = json.loads(captured.out)
     for entry in entries:
         failed = entry["t"] == 3 and entry["details"]["which"] == "merge"
         assert entry["pass"] is not failed
