@@ -19,6 +19,8 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
+from functools import cache
 
 from .hyper import check_3phi2_transform, check_q_chu_vandermonde, verify_identity_chain
 from .maps import NotInDomain, fold, fold_preimages, merge, merge_preimages, verify_fiber_identity
@@ -32,12 +34,7 @@ from .partitions import (
     parse_overpartition,
     stats,
 )
-from .qseries import (
-    QMonomial,
-    QSeriesError,
-    bounded_gap_overpartition_gf,
-    bounded_gap_partition_gf,
-)
+from .qseries import QMonomial, QSeriesError, bounded_gap_columns, bounded_gap_overpartition_gf
 
 __all__ = ["main"]
 
@@ -151,28 +148,49 @@ def _check_print_budget(parts: int) -> None:
         )
 
 
-def _render_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
-    table = [header, *rows]
+def _render_columns(header: list[str], columns: list[list[str]], fmt: str) -> str:
+    """One line for ``header`` and one per row of ``columns``: csv joins
+    the cells with commas, text right-aligns each column to its widest
+    cell and joins with two spaces."""
+    lines = [header, *zip(*columns)]
     if fmt == "csv":
-        lines = map(",".join, table)
+        text = map(",".join, lines)
     else:
-        widths = [max(map(len, column)) for column in zip(*table)]
-        lines = ("  ".join(map(str.rjust, row, widths)) for row in table)
-    return "\n".join(lines) + "\n"
+        widths = [max(len(name), *map(len, column)) for name, column in zip(header, columns)]
+        text = ("  ".join(map(str.rjust, line, widths)) for line in lines)
+    return "\n".join(text) + "\n"
+
+
+def _table_json(t: int, max_n: int, z: str, counts: list[list[str]]) -> str:
+    """``json.dumps(payload, indent=2) + "\n"`` of the table's payload,
+    written directly: every count is a decimal string and ``z`` is one of
+    three plain words, so no value needs escaping."""
+    head = f'{{\n  "t": {t},\n  "max_n": {max_n},\n  "z": "{z}",\n'
+    if z == "tracked":
+        marks = ",\n    ".join(map(str, range(len(counts))))
+        head += f'  "columns": [\n    {marks}\n  ],\n'
+        rows = (
+            f'    {{\n      "n": {n},\n      "counts": [\n        "'
+            + '",\n        "'.join(cells)
+            + '"\n      ]\n    }'
+            for n, cells in enumerate(zip(*counts), 1)
+        )
+    else:
+        rows = (
+            f'    {{\n      "n": {n},\n      "count": "{cell}"\n    }}'
+            for n, cell in enumerate(counts[0], 1)
+        )
+    return head + '  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 def _cmd_table(args) -> int:
-    t, max_n = args.t, args.max_n
-    tracked, zero = args.z == "tracked", args.z == "zero"
-    if zero:
-        series = bounded_gap_partition_gf(t, max_n + 1)
-    else:
-        series = bounded_gap_overpartition_gf(t, max_n + 1, z_tracked=tracked)
+    t, max_n, z = args.t, args.max_n, args.z
+    buffer = bounded_gap_columns(t, max_n + 1, z)
     if args.check:
         reference = enumerated_bounded_gap_gf([t], max_n)[t]
-        if not tracked:
-            reference = reference.subs_z(0 if zero else 1)
-        diff = series.first_difference(reference, max_n + 1)
+        if z != "tracked":
+            reference = reference.subs_z(0 if z == "zero" else 1)
+        diff = buffer.to_series().first_difference(reference, max_n + 1)
         if diff is not None:
             n, m, closed, counted = diff
             print(
@@ -182,26 +200,13 @@ def _cmd_table(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    polys = [series.coeff(n) for n in range(1, max_n + 1)]
-    columns = [0]
-    if tracked:
-        mark_max = max([0] + [poly.max_z_exp() for poly in polys if poly])
-        columns = list(range(mark_max + 1))
-    rows = [
-        [str(n)] + [str(poly.coefficient(m)) for m in columns]
-        for n, poly in enumerate(polys, 1)
-    ]
+    # the z^k column over q^1..q^max_n, as printed
+    counts = [list(map(str, col[1:])) for col in buffer.columns]
     if args.format == "json":
-        payload = {"t": t, "max_n": max_n, "z": args.z}
-        if tracked:
-            payload["columns"] = columns
-            payload["rows"] = [{"n": n, "counts": row[1:]} for n, row in enumerate(rows, 1)]
-        else:
-            payload["rows"] = [{"n": n, "count": row[1]} for n, row in enumerate(rows, 1)]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _table_json(t, max_n, z, counts)
     else:
-        header = ["n"] + ([f"m={m}" for m in columns] if tracked else ["count"])
-        text = _render_rows(header, rows, args.format)
+        header = ["n"] + ([f"m={m}" for m in range(len(counts))] if z == "tracked" else ["count"])
+        text = _render_columns(header, [list(map(str, range(1, max_n + 1))), *counts], args.format)
     _emit(text, args.output)
     return 0
 
@@ -249,6 +254,27 @@ def _cmd_merge(args) -> int:
     return 0
 
 
+def _fiber_mismatch(built: list, found: list) -> str | None:
+    """Name the first member in one of the constructed fiber ``built`` and
+    the brute-force fiber ``found`` but not the other, brute-force ones
+    first, else the first member the two hold a different number of
+    times; None when they agree."""
+    in_built, in_found = Counter(built), Counter(found)
+    for member in found:
+        if member not in in_built:
+            return f"{member} is in the brute-force fiber but not the constructed one"
+    for member in built:
+        if member not in in_found:
+            return f"{member} is in the constructed fiber but not the brute-force one"
+    for member in built:
+        if in_built[member] != in_found[member]:
+            return (
+                f"{member} is {in_built[member]} times in the constructed fiber, "
+                f"{in_found[member]} in the brute-force one"
+            )
+    return None
+
+
 def _cmd_preimages(args) -> int:
     mu = parse_overpartition(args.input)
     t = args.t
@@ -269,10 +295,11 @@ def _cmd_preimages(args) -> int:
     report = preimages(mu, t)
     if args.check:
         found = [beta for beta in domain(t, mu.weight) if apply_map(beta, t) == mu]
-        if set(found) != set(report.fiber) or len(found) != len(report.fiber):
+        mismatch = _fiber_mismatch(report.fiber, found)
+        if mismatch is not None:
             print(
                 f"cross-check failed: constructed fiber of {mu} disagrees with "
-                f"the brute-force fiber",
+                f"the brute-force fiber; {mismatch}",
                 file=sys.stderr,
             )
             return 2
@@ -369,7 +396,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(entry["pass"] for entry in entries) else 2
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later one; a parse never changes it."""
     parser = _Parser(
         prog="overgap",
         description=(
@@ -400,7 +430,6 @@ def _build_parser() -> _Parser:
         help="cross-check every entry against an enumeration of partition shapes",
     )
     table.add_argument("--output", help="write the rendering to this file")
-    table.set_defaults(handler=_cmd_table)
 
     fold_cmd = sub.add_parser(
         "fold", help="apply the gap-reducing map to one overpartition"
@@ -409,7 +438,6 @@ def _build_parser() -> _Parser:
     fold_cmd.add_argument("input", help='overpartition text, e.g. "7,4~"')
     fold_cmd.add_argument("--format", choices=("text", "json"), default="text")
     fold_cmd.add_argument("--output")
-    fold_cmd.set_defaults(handler=_cmd_fold)
 
     merge_cmd = sub.add_parser(
         "merge", help="absorb a bipartition's reserved parts into one overpartition"
@@ -418,7 +446,6 @@ def _build_parser() -> _Parser:
     merge_cmd.add_argument("input", help='bipartition text, e.g. "[3^1 | 3,3,1~,1]"')
     merge_cmd.add_argument("--format", choices=("text", "json"), default="text")
     merge_cmd.add_argument("--output")
-    merge_cmd.set_defaults(handler=_cmd_merge)
 
     pre = sub.add_parser("preimages", help="list one fiber of either map")
     pre.add_argument("--t", type=_positive_int, required=True)
@@ -431,7 +458,6 @@ def _build_parser() -> _Parser:
         help="validate the fiber against brute-force enumeration",
     )
     pre.add_argument("--output")
-    pre.set_defaults(handler=_cmd_preimages)
 
     verify = sub.add_parser("verify", help="run the consistency suites")
     verify.add_argument(
@@ -456,18 +482,18 @@ def _build_parser() -> _Parser:
         help="weight ceiling for the fiber suite",
     )
     verify.add_argument("--output")
-    verify.set_defaults(handler=_cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    # looked up per call, so a replaced _cmd_* function is the one that runs
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except BrokenPipeError:
         # Downstream consumer (head, less, ...) closed stdout; suppress the
         # interpreter's shutdown flush instead of dumping a traceback.

@@ -39,11 +39,15 @@ The bounded-gap closed forms are the one Pochhammer quotient built
 apart from that kernel: the finite q-binomial theorem splits
 (-zq; q)_t / (q; q)_t into z^k columns, each a dense list of integers
 over the window, and every factor (1 - q^s) is one slice pass over a
-column.  The columns become rows through :meth:`ZColumns.to_series`,
-the conversion the column walk ends with, but neither
-:func:`qs_pochhammer_ratio` nor :meth:`ZColumns.pochhammer_ratio` runs a
-pass on them.  So :func:`bounded_gap_overpartition_gf` is a method
-independent of the kernels that the hypergeometric chain runs on.
+column.  :func:`bounded_gap_columns` returns those columns as a
+:class:`ZColumns` buffer, which the CLI's ``table`` turns into text
+column by column; :func:`bounded_gap_overpartition_gf` and
+:func:`bounded_gap_partition_gf` turn it into rows through
+:meth:`ZColumns.to_series`, the conversion the column walk ends with.
+Neither :func:`qs_pochhammer_ratio` nor
+:meth:`ZColumns.pochhammer_ratio` runs a pass on the columns, so the
+closed forms are a method independent of the kernels that the
+hypergeometric chain runs on.
 Every other product runs through one kernel, :func:`qs_mul`, a
 schoolbook product over the sparse rows: each pair of nonzero rows that
 lands in the window merges its product into one output row through
@@ -95,6 +99,7 @@ __all__ = [
     "pochhammer_infinite",
     "qs_pochhammer_ratio",
     "ZColumns",
+    "bounded_gap_columns",
     "bounded_gap_overpartition_gf",
     "bounded_gap_partition_gf",
 ]
@@ -640,25 +645,32 @@ def qs_sum(terms: Iterable[QSeries], order: int) -> QSeries:
     dropped, so the result's order is exactly ``order``.  Series ``+`` and
     ``-`` call it with two terms and the smaller of their orders.
 
-    The terms are streamed: each row merges into one row dict per
-    q-exponent through :func:`_add_into`, in place, and
-    :meth:`QSeries.from_terms` lays the rows out at the end, so no partial
-    sum is copied and no term is kept.
+    The terms are streamed: a row that one term alone holds is kept as
+    that term's coefficient; a row that a second term lands on is copied
+    once, and that term and every later one on it merge into the copy
+    through :func:`_add_into`, in place.  :meth:`QSeries.from_terms` lays
+    the rows out at the end, so no term is kept and no operand changes.
     """
-    rows: dict[int, dict[int, int]] = {}
+    rows: dict[int, ZLaurentPoly] = {}
+    merged: dict[int, dict[int, int]] = {}
     for term in terms:
         if term.order < order:
             raise InsufficientOrder(
                 f"a term known to order {term.order} cannot be summed to order {order}"
             )
         for exp, coeff in zip(range(term.min_exp, order), term.coeffs):
-            if coeff._terms:
-                row = rows.get(exp)
+            if not coeff._terms:
+                continue
+            first = rows.get(exp)
+            if first is None:
+                rows[exp] = coeff
+            else:
+                row = merged.get(exp)
                 if row is None:
-                    rows[exp] = dict(coeff._terms)
-                else:
-                    _add_into(row, coeff._terms, 0, 1)
-    return QSeries.from_terms({exp: ZLaurentPoly._make(row) for exp, row in rows.items()}, order)
+                    row = merged[exp] = dict(first._terms)
+                _add_into(row, coeff._terms, 0, 1)
+    rows.update((exp, ZLaurentPoly._make(row)) for exp, row in merged.items())
+    return QSeries.from_terms(rows, order)
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -1141,15 +1153,6 @@ def _mark_columns(t: int, order: int, marks: bool) -> list[list[int]]:
     return columns
 
 
-def _gap_series(t: int, columns: list[list[int]]) -> QSeries:
-    """(sum_k z^k columns[k] - 1) / (1 - q^t), columns over q^0..q^(order-1),
-    turned into rows by :meth:`ZColumns.to_series`."""
-    columns[0][0] -= 1
-    for col in columns:
-        _over_one_minus(col, t)
-    return ZColumns(0, len(columns[0]), 0, columns).to_series()
-
-
 def _check_gap_window(t: int, order: int) -> None:
     if t < 1:
         raise ValueError("the gap bound t must be a positive integer")
@@ -1158,31 +1161,43 @@ def _check_gap_window(t: int, order: int) -> None:
         raise ValueError(f"term q^0 is at or past order {order}")
 
 
+def bounded_gap_columns(t: int, order: int, z: str = "tracked") -> ZColumns:
+    """The bounded-gap generating function over q^0..q^(order-1) as a
+    :class:`ZColumns` buffer, the z^0 column first.
+
+    It is (1/(1 - q^t)) * ((-zq; q)_t / (q; q)_t - 1), built from the
+    finite q-binomial theorem (:func:`_mark_columns`), not by Pochhammer
+    passes, so it is a method independent of :func:`qs_pochhammer_ratio`.
+    ``z`` is ``"tracked"`` for every z^k column, ``"one"`` for their sum
+    (marks forgotten) or ``"zero"`` for column 0 alone (no marks).
+    Tracked, column k >= 1 starts at q^(k(k+1)/2), below the order, with
+    the count 1, so no column past z^0 is all zero.
+    """
+    _check_gap_window(t, order)
+    if z not in ("tracked", "one", "zero"):
+        raise ValueError(f"z must be tracked, one or zero, got {z!r}")
+    columns = _mark_columns(t, order, z != "zero")
+    if z == "one":
+        columns = [list(map(sum, zip(*columns)))]
+    columns[0][0] -= 1
+    for col in columns:
+        _over_one_minus(col, t)
+    return ZColumns(0, order, 0, columns)
+
+
 def bounded_gap_overpartition_gf(t: int, order: int, z_tracked: bool = True) -> QSeries:
     """Generating function for nonempty overpartitions whose largest and
     smallest parts differ by at most t, with the largest part unmarked
-    when the difference is exactly t.
-
-    Computed as (1/(1 - q^t)) * ((-zq; q)_t / (q; q)_t - 1); the z-degree
-    of the q^n coefficient counts overlined parts.  With ``z_tracked``
-    false the overline marks are forgotten first (z = 1).  The ratio is
-    built as dense integer z^k columns from the finite q-binomial theorem
-    (:func:`_mark_columns`), not by Pochhammer passes over the rows, so
-    it is a method independent of :func:`qs_pochhammer_ratio`.
+    when the difference is exactly t: :func:`bounded_gap_columns` as
+    rows.  The z-degree of the q^n coefficient counts overlined parts;
+    with ``z_tracked`` false the overline marks are forgotten (z = 1).
     """
-    _check_gap_window(t, order)
-    columns = _mark_columns(t, order, True)
-    if not z_tracked:
-        columns = [list(map(sum, zip(*columns)))]
-    return _gap_series(t, columns)
+    return bounded_gap_columns(t, order, "tracked" if z_tracked else "one").to_series()
 
 
 def bounded_gap_partition_gf(t: int, order: int) -> QSeries:
     """Generating function for nonempty ordinary partitions whose largest
-    and smallest parts differ by at most t.
-
-    Computed as (1/(1 - q^t)) * (1/(q; q)_t - 1), the unmarked (z = 0)
-    shadow of :func:`bounded_gap_overpartition_gf`: its z^0 column.
+    and smallest parts differ by at most t, the unmarked (z = 0) shadow
+    of :func:`bounded_gap_overpartition_gf`: its z^0 column as rows.
     """
-    _check_gap_window(t, order)
-    return _gap_series(t, _mark_columns(t, order, False))
+    return bounded_gap_columns(t, order, "zero").to_series()

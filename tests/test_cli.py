@@ -89,6 +89,16 @@ def test_table_json_untracked(capsys, z, counts):
     }
 
 
+@pytest.mark.parametrize("z", ["tracked", "one", "zero"])
+def test_table_json_is_the_indented_dump(capsys, z):
+    for t in (1, 2, 3, 7, 12, 40):
+        for max_n in (1, 2, 5, 40, 400):
+            argv = ("table", "--t", str(t), "--max-n", str(max_n), "--z", z, "--format", "json")
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", (t, max_n)
+
+
 def test_table_check_passes(capsys):
     code, _, err = run(capsys, "table", "--t", "2", "--max-n", "8", "--check")
     assert code == 0 and err == ""
@@ -288,7 +298,42 @@ def test_preimages_check_detects_wrong_fiber(capsys, monkeypatch):
     code, _, err = run(
         capsys, "preimages", "--t", "3", "--map", "fold", "3,3,3", "--check"
     )
-    assert code == 2 and "cross-check failed" in err
+    assert code == 2
+    assert err == (
+        "cross-check failed: constructed fiber of 3,3,3 disagrees with the "
+        "brute-force fiber; 3~,3,3 is in the brute-force fiber but not the "
+        "constructed one\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        (
+            lambda fiber: fiber + fiber[:1],
+            "9 is 2 times in the constructed fiber, 1 in the brute-force one",
+        ),
+        (
+            lambda fiber: fiber + [parse_overpartition("5,4")],
+            "5,4 is in the constructed fiber but not the brute-force one",
+        ),
+    ],
+    ids=["repeated", "extra"],
+)
+def test_preimages_check_names_the_member(capsys, monkeypatch, change, named):
+    real = cli.fold_preimages
+
+    def altered(mu, t):
+        report = real(mu, t)
+        return replace(report, fiber=change(list(report.fiber)))
+
+    monkeypatch.setattr(cli, "fold_preimages", altered)
+    code, out, err = run(capsys, "preimages", "--t", "3", "--map", "fold", "3,3,3", "--check")
+    assert (code, out) == (2, "")
+    assert err == (
+        "cross-check failed: constructed fiber of 3,3,3 disagrees with the "
+        f"brute-force fiber; {named}\n"
+    )
 
 
 def test_internal_error_exits_2_without_traceback(capsys, monkeypatch):
@@ -593,7 +638,7 @@ def test_memory_error_exits_1_without_traceback(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "bounded_gap_overpartition_gf", exhausted)
+    monkeypatch.setattr(cli, "bounded_gap_columns", exhausted)
     code, out, err = run(capsys, "table", "--t", "3", "--max-n", "5")
     assert (code, out, err) == (1, "", "error: out of memory\n")
 
@@ -641,6 +686,32 @@ def test_invocations_are_deterministic(capsys):
     first = run(capsys, "verify", "--suite", "chain", "--t", "2", "--order", "14")
     second = run(capsys, "verify", "--suite", "chain", "--t", "2", "--order", "14")
     assert first == second
+
+
+def test_one_parser_serves_every_call_alike(capsys):
+    # the parser is built once per process; a usage error and the default
+    # --t list of verify must leave nothing behind for later calls
+    jobs = [
+        ("table", "--t", "x"),
+        ("table", "--t", "3", "--max-n", "12", "--z", "one", "--format", "csv"),
+        ("fold", "--t", "3", "7,4~"),
+        ("verify", "--suite", "chu", "--order", "6"),
+        ("verify", "--suite", "gf", "--t", "2..3", "--order", "6"),
+    ]
+    cli._build_parser.cache_clear()
+    first = [run(capsys, *argv) for argv in jobs]
+    assert first[0][0] == 1 and "error: argument --t" in first[0][2]
+    assert [code for code, _, _ in first[1:]] == [0, 0, 0, 0]
+    assert [run(capsys, *argv) for argv in jobs] == first
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_command_is_looked_up_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "table", "--t", "2", "--max-n", "3")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_table", lambda args: seen.append(args.max_n) or 7)
+    assert run(capsys, "table", "--t", "2", "--max-n", "4") == (7, "", "")
+    assert seen == [4]
 
 
 def test_module_entry_point():

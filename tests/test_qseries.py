@@ -531,7 +531,24 @@ def _column_gf(t, order, z):
 def test_gf_columns_match_the_pochhammer_route(t):
     for order in (1, 2, 3, 31, 120, 301):
         for z in ("tracked", "one", "zero"):
-            assert _column_gf(t, order, z) == _pochhammer_route_gf(t, order, z), (t, order, z)
+            series = _pochhammer_route_gf(t, order, z)
+            assert _column_gf(t, order, z) == series, (t, order, z)
+            assert qseries.bounded_gap_columns(t, order, z).to_series() == series, (t, order, z)
+
+
+def test_gf_columns_hold_no_zero_mark_column():
+    # `table` prints one mark column per buffer column
+    for t in (1, 2, 3, 7, 12, 40):
+        for order in (2, 3, 6, 41, 401):
+            columns = qseries.bounded_gap_columns(t, order).columns
+            assert all(any(col[1:]) for col in columns), (t, order)
+            one, zero = (qseries.bounded_gap_columns(t, order, z).columns for z in ("one", "zero"))
+            assert len(one) == len(zero) == 1
+
+
+def test_gf_columns_refuse_an_unknown_z():
+    with pytest.raises(ValueError, match="z must be tracked, one or zero"):
+        qseries.bounded_gap_columns(3, 10, "two")
 
 
 @pytest.mark.parametrize("z", ["tracked", "one", "zero"])
@@ -1463,6 +1480,25 @@ def test_qs_sum_matches_the_left_fold_of_plus(seed):
             reference = poly_add(reference, poly_from_series(term))
         assert_series_matches(summed, reference)
         assert summed.order == order
+
+
+def test_qs_sum_copies_only_rows_that_two_terms_share():
+    # terms 1 and 3 share q^1 and q^2, term 2 alone holds q^4; a row held
+    # by one term is taken as it is, a shared one is copied before merging
+    first = QSeries.from_terms({1: zp({0: 1, 1: 2}), 2: zp({-1: 3})}, 6)
+    second = QSeries.from_terms({4: zp({2: 5})}, 7)
+    third = QSeries.from_terms({1: zp({1: -2, 3: 1}), 2: zp({-1: -3})}, 6)
+    for terms in ([first, second, third], [first, second, first]):
+        before = [[dict(coeff._terms) for coeff in term.coeffs] for term in terms]
+        summed = qseries.qs_sum(terms, 6)
+        assert [[dict(coeff._terms) for coeff in term.coeffs] for term in terms] == before
+        assert summed == (terms[0] + terms[1]) + terms[2]
+    assert qseries.qs_sum([first, second, third], 6) == QSeries.from_terms(
+        {1: zp({0: 1, 3: 1}), 4: zp({2: 5})}, 6
+    )
+    assert qseries.qs_sum([first, second, first], 6) == QSeries.from_terms(
+        {1: zp({0: 2, 1: 4}), 2: zp({-1: 6}), 4: zp({2: 5})}, 6
+    )
 
 
 def test_qs_sum_of_nothing_is_the_zero_series():
