@@ -39,9 +39,10 @@ The bounded-gap closed forms are the one Pochhammer quotient built
 apart from that kernel: the finite q-binomial theorem splits
 (-zq; q)_t / (q; q)_t into z^k columns, each a dense list of integers
 over the window, and every factor (1 - q^s) is one slice pass over a
-column.  :func:`bounded_gap_columns` returns those columns as a
-:class:`ZColumns` buffer, which the CLI's ``table`` turns into text
-column by column; :func:`bounded_gap_overpartition_gf` and
+column; columns past z^(t/2) are earlier ones shifted, and one z-free
+column stands for their sum.  :func:`bounded_gap_columns` returns them
+as a :class:`ZColumns` buffer, which the CLI's ``table`` turns into
+text column by column; :func:`bounded_gap_overpartition_gf` and
 :func:`bounded_gap_partition_gf` turn it into rows through
 :meth:`ZColumns.to_series`, the conversion the column walk ends with.
 Neither :func:`qs_pochhammer_ratio` nor
@@ -197,11 +198,6 @@ class ZLaurentPoly:
 
     def coefficient(self, z_exp: int) -> int:
         return self._terms.get(z_exp, 0)
-
-    def max_z_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no support")
-        return max(self._terms)
 
     def is_unit_monomial(self) -> bool:
         """True when the polynomial is a single term with coefficient +-1."""
@@ -424,7 +420,8 @@ class QSeries:
         row = [_Z_ZERO] * width
         for exp, coeff in cleaned.items():
             row[exp - lo] = coeff
-        return cls(lo, row, order)
+        # the end rows are nonzero and every exponent is below the order
+        return cls._make(lo, tuple(row), order)
 
     # -- access ------------------------------------------------------------
 
@@ -1129,25 +1126,40 @@ class ZColumns:
 # -- closed-form generating functions --------------------------------------
 
 
-def _mark_columns(t: int, order: int, marks: bool) -> list[list[int]]:
-    """The z^k columns of (-zq; q)_t / (q; q)_t over q^0..q^(order-1).
+def _mark_columns(t: int, order: int, z: str) -> list[list[int]]:
+    """The z^k columns of (-zq; q)_t / ((q; q)_t (1 - q^t)) over
+    q^0..q^(order-1), as mode ``z`` of :func:`bounded_gap_columns` needs.
 
     By the finite q-binomial theorem (Andrews, The Theory of Partitions,
-    Thm 3.3) column k is q^(k(k+1)/2) / ((q; q)_k (q; q)_(t-k)).  Column 0
-    is 1/(q; q)_t, and column k+1 is column k shifted up by k+1, times
-    (1 - q^(t-k)), over (1 - q^(k+1)).  The columns stop at k = t, or
-    where the shift k(k+1)/2 reaches the order.  With ``marks`` false only
-    column 0 is built.
+    Thm 3.3) column k is q^(k(k+1)/2) / ((q; q)_k (q; q)_(t-k)), over
+    (1 - q^t).  Column 0 is t passes for 1/(q; q)_t and one for the
+    (1 - q^t), which every column derived from it inherits; ``"zero"``
+    stops there.  ``"tracked"`` adds columns up to k = t, or until the
+    shift k(k+1)/2 reaches the order: for k <= t/2 column k is column
+    k-1 shifted up by k, times (1 - q^(t-k+1)), over (1 - q^k), two
+    passes; for k > t/2, by [t choose k]_q = [t choose t-k]_q, it is
+    column t-k shifted up by k(k+1)/2 - (t-k)(t-k+1)/2, with no pass.
+    ``"one"`` builds no mark column: column 0 times (1 + q^s) for
+    s = 1..t, one pass each, is (-q; q)_t / (q; q)_t over (1 - q^t).
     """
     col = [1] + [0] * (order - 1)
-    for s in range(1, min(t, order - 1) + 1):
+    passes = range(1, min(t, order - 1) + 1)
+    for s in passes:
         _over_one_minus(col, s)
+    _over_one_minus(col, t)
     columns = [col]
-    k = 0
-    while marks and k < t and (k + 1) * (k + 2) // 2 < order:
-        col = [0] * (k + 1) + col[:order - k - 1]
-        _times_one_minus(col, t - k)
-        _over_one_minus(col, k + 1)
+    if z == "one":
+        for s in passes:
+            col[s:] = map(add, col[s:], col[:-s])
+    k = 1
+    while z == "tracked" and k <= t and k * (k + 1) // 2 < order:
+        if 2 * k <= t:
+            col = [0] * k + col[:order - k]
+            _times_one_minus(col, t - k + 1)
+            _over_one_minus(col, k)
+        else:
+            shift = k * (k + 1) // 2 - (t - k) * (t - k + 1) // 2
+            col = [0] * shift + columns[t - k][:order - shift]
         columns.append(col)
         k += 1
     return columns
@@ -1170,18 +1182,18 @@ def bounded_gap_columns(t: int, order: int, z: str = "tracked") -> ZColumns:
     passes, so it is a method independent of :func:`qs_pochhammer_ratio`.
     ``z`` is ``"tracked"`` for every z^k column, ``"one"`` for their sum
     (marks forgotten) or ``"zero"`` for column 0 alone (no marks).
-    Tracked, column k >= 1 starts at q^(k(k+1)/2), below the order, with
-    the count 1, so no column past z^0 is all zero.
+    The division by (1 - q^t) is one pass on column 0, before the other
+    columns come from it (:func:`_mark_columns` lists each mode's
+    passes), and the -1 over (1 - q^t) is subtracted last, from column 0
+    alone: 1 at q^0, q^t, q^2t, ...  Tracked, column k >= 1 starts at
+    q^(k(k+1)/2), below the order, with the count 1, so no column past
+    z^0 is all zero.
     """
     _check_gap_window(t, order)
     if z not in ("tracked", "one", "zero"):
         raise ValueError(f"z must be tracked, one or zero, got {z!r}")
-    columns = _mark_columns(t, order, z != "zero")
-    if z == "one":
-        columns = [list(map(sum, zip(*columns)))]
-    columns[0][0] -= 1
-    for col in columns:
-        _over_one_minus(col, t)
+    columns = _mark_columns(t, order, z)
+    columns[0][::t] = [c - 1 for c in columns[0][::t]]
     return ZColumns(0, order, 0, columns)
 
 

@@ -391,6 +391,18 @@ def test_preimages_domain_error(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("which", ["fold", "merge"])
+@pytest.mark.parametrize(
+    "mu, reason", [("3~", "the part 3 is marked"), ("4", "part 4 exceeds 3")]
+)
+def test_preimages_domain_error_names_the_reason(capsys, which, mu, reason):
+    code, out, err = run(capsys, "preimages", "--t", "3", "--map", which, mu)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {mu} is not in the bounded-parts family for t=3: {reason}\n"
+    )
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -559,6 +571,21 @@ def test_verify_env_default_order(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "gf", "--t", "1")
     assert code == 0
     assert json.loads(out)[0]["order"] == 8
+
+
+def test_verify_env_default_order_one_runs(capsys, monkeypatch):
+    monkeypatch.setenv("OVERPART_DEFAULT_ORDER", "1")
+    code, out, err = run(capsys, "verify", "--suite", "chu", "--t", "1")
+    assert code == 0 and err == ""
+    [entry] = json.loads(out)
+    assert entry["order"] == 1 and entry["pass"] is True
+
+
+def test_verify_env_rejects_order_zero(capsys, monkeypatch):
+    monkeypatch.setenv("OVERPART_DEFAULT_ORDER", "0")
+    code, out, err = run(capsys, "verify", "--suite", "chu", "--t", "1")
+    assert code == 1 and out == ""
+    assert err == "error: OVERPART_DEFAULT_ORDER must be positive, got 0\n"
 
 
 def test_verify_env_rejects_garbage(capsys, monkeypatch):

@@ -546,6 +546,35 @@ def test_gf_columns_hold_no_zero_mark_column():
             assert len(one) == len(zero) == 1
 
 
+def _assert_column_modes_agree(t, order):
+    tracked, one, zero = (
+        qseries.bounded_gap_columns(t, order, z).columns for z in ("tracked", "one", "zero")
+    )
+    marks = sum(1 for k in range(1, t + 1) if k * (k + 1) // 2 < order)
+    assert len(tracked) == 1 + marks, (t, order)
+    assert one == [list(map(sum, zip(*tracked)))], (t, order)
+    assert zero == tracked[:1], (t, order)
+
+
+@pytest.mark.parametrize("t", list(range(1, 9)) + [39, 40])
+def test_gf_column_modes_agree(t):
+    # "one" is built from column 0 alone and mark columns k > t/2 mirror
+    # column t - k, so the modes are three routes that must agree; the
+    # orders put each shift k(k+1)/2 at order - 1 (the last column kept)
+    # and at order (the first one dropped), and orders <= t put the top
+    # factors of (q; q)_t past the window
+    orders = {1, 2, t, t + 1}
+    for k in range(1, t + 2):
+        orders |= {k * (k + 1) // 2, k * (k + 1) // 2 + 1}
+    for order in sorted(orders):
+        _assert_column_modes_agree(t, order)
+
+
+def test_gf_column_modes_agree_at_the_table_corner():
+    # `table --t 2000 --max-n 2000` builds its columns to order 2001
+    _assert_column_modes_agree(2000, 2001)
+
+
 def test_gf_columns_refuse_an_unknown_z():
     with pytest.raises(ValueError, match="z must be tracked, one or zero"):
         qseries.bounded_gap_columns(3, 10, "two")
