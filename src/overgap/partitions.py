@@ -20,13 +20,15 @@ Generating functions produced by this module come from enumeration,
 never from a closed form, so they can serve as independent cross-checks
 for the series builders in :mod:`qseries`.  :func:`gf_from_enumeration`
 builds and counts every member object.  :func:`enumerated_bounded_gap_gf`
-visits every partition shape (the parts without their marks) whose gap
-is at most the largest bound and weighs each by the mark histogram of
-its number of distinct sizes, a row of binomial coefficients, since it
-depends on nothing else.  The enumerators only enter shapes that belong
-to the family, so no member is built and then thrown away.  The CLI's
-``table --check`` and ``gf`` suite count with the shape sweep; the
-member count is the tests' oracle of the sweep and the fiber check's.
+counts the partition shapes (the parts without their marks) whose gap
+is at most the largest bound by smallest part, largest part and number
+of distinct sizes, without visiting them, and weighs each count by the
+mark histogram of its number of distinct sizes, a row of binomial
+coefficients, since it depends on nothing else; its cost is polynomial
+in the weight.  The enumerators only enter shapes that belong to the
+family, so no member is built and then thrown away.  The CLI's ``table
+--check`` and ``gf`` suite use the shape count; the member count is the
+tests' oracle of the shape count and the fiber check's.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import product
-from math import comb
+from math import ceil, comb, log, pi, sqrt
 from typing import Iterator, NamedTuple
 
 from .qseries import QSeries, ZLaurentPoly
@@ -467,42 +469,115 @@ def _mark_histograms(d: int) -> tuple[list[int], list[int]]:
     return every, top_unmarked
 
 
-def enumerated_bounded_gap_gf(ts, max_n: int) -> dict[int, QSeries]:
-    """Bounded-gap generating functions for several bounds in one sweep.
+# The census holds each column of counts by weight 0..max_n as one int,
+# weight n in the n-th slot of ``8 * slot_bytes`` bits (Kronecker
+# substitution), so adding two columns or moving one up k weights is one
+# int operation.  No count it forms exceeds the number of overpartitions
+# of max_n, at most 2^sizes * p(max_n) < 2^sizes * exp(pi * sqrt(2 *
+# max_n / 3)) (Apostol, Introduction to Analytic Number Theory, Thm.
+# 14.5), so a slot sized for that never carries into the next.
 
-    Visits every partition shape of weight up to ``max_n`` whose gap is
-    at most the largest bound exactly once, counting the shapes of each
-    weight by (d, gap), d the number of distinct sizes.  The mark
-    histogram of a shape depends only on d (binomial coefficients, see
-    :func:`_mark_histograms`), and each bound t adds count times the
-    histogram of every (d, gap) it admits: all patterns below t, those
-    with the largest size unmarked at gap t.  Returns, per bound, the
-    same series :func:`gf_from_enumeration` would produce.
+
+def _pile(column: int, k: int, span: int, slot: int, mask: int) -> int:
+    """Put one or more parts k on top of every shape ``column`` counts.
+
+    Weight n of the result is the column's weight n - k plus n - 2k and
+    so on: its running sum along each residue class mod k.  The column
+    is 0 below its lightest shape and ``mask`` cuts weights more than
+    ``span`` above that, so copies 1..j with jk <= span are all that
+    count; each round doubles j.
+    """
+    out = (column << (k * slot)) & mask
+    reach = k
+    while reach + k <= span:
+        out = (out + (out << (reach * slot))) & mask
+        reach *= 2
+    return out
+
+
+def _unpack(column: int, slot_bytes: int, width: int) -> list[int]:
+    raw = column.to_bytes(width * slot_bytes, "little")
+    return [
+        int.from_bytes(raw[i : i + slot_bytes], "little")
+        for i in range(0, len(raw), slot_bytes)
+    ]
+
+
+def enumerated_bounded_gap_gf(ts, max_n: int) -> dict[int, QSeries]:
+    """Bounded-gap generating functions for several bounds in one count.
+
+    Counts the partition shapes of weight up to ``max_n`` whose gap is at
+    most the largest bound T by smallest part s, largest part k and
+    number d of distinct sizes, without visiting them.  For each s, a
+    column per d counts by weight the shapes with parts in [s, k] that
+    use s.  k = s gives the multiples of s, and raising k by one puts one
+    or more parts k on top of the shapes with d - 1 sizes
+    (:func:`_pile`), which gives those of gap exactly k - s.  Each such
+    column is added to the totals of the first gap at or above its own
+    among the bounds and the gaps just under them; running sums over
+    those gaps then give, per bound t and d, the shapes of gap below t
+    and those of gap t.  The mark histogram of a shape depends only on d
+    (binomial coefficients, see :func:`_mark_histograms`), so t's row is
+    the first count times the histogram of every pattern plus the second
+    times that of the patterns leaving the largest size unmarked, one
+    pass per d.  Nothing is held per (d, gap) pair, and nothing outlives
+    the call.  Returns, per bound, the same series
+    :func:`gf_from_enumeration` would produce.
     """
     ts = sorted(set(int(t) for t in ts))
     if ts and ts[0] < 1:
         raise ValueError("bounds must be positive")
     if not ts:
         return {}
-    tables: dict[int, dict[int, dict[int, int]]] = {t: {} for t in ts}
-    histograms: dict[int, tuple[list[int], list[int]]] = {}
-    for n in range(1, max_n + 1):
-        shapes: dict[tuple[int, int], int] = {}
-        for shape in _shapes(n, n, gap=ts[-1]):
-            key = (len(shape), shape[0][0] - shape[-1][0])
-            shapes[key] = shapes.get(key, 0) + 1
-        for (d, gap), count in shapes.items():
-            if d not in histograms:
-                histograms[d] = _mark_histograms(d)
-            every, top_unmarked = histograms[d]
-            for t in ts[bisect_left(ts, gap):]:
-                row = tables[t].setdefault(n, {})
-                for o, patterns in enumerate(every if gap < t else top_unmarked):
-                    if patterns:
-                        row[o] = row.get(o, 0) + count * patterns
-    return {
-        t: QSeries.from_terms(
-            {n: ZLaurentPoly(row) for n, row in table.items()}, max_n + 1
-        )
-        for t, table in tables.items()
-    }
+    width = max(max_n + 1, 0)
+    sizes = 0  # the most distinct sizes a weight up to max_n has room for
+    while (sizes + 1) * (sizes + 2) // 2 <= max_n:
+        sizes += 1
+    slot_bytes = ceil((pi * sqrt(2 * max(max_n, 1) / 3) / log(2) + sizes + 1) / 8)
+    slot = 8 * slot_bytes
+    mask = (1 << (width * slot)) - 1
+    gaps = sorted(set(ts).union(t - 1 for t in ts))
+    # fresh[j][d]: shapes with d distinct sizes, gap in (gaps[j - 1], gaps[j]]
+    fresh = [[0] * (sizes + 1) for _ in gaps]
+    for s in range(1, max_n + 1):
+        # uses[d]: shapes with parts in [s, k] that use s, d distinct sizes;
+        # for k = s, parts s piled on the empty shape
+        uses = [0, _pile(1, s, max_n, slot, mask)]
+        fresh[0][1] += uses[1]
+        for k in range(s + 1, min(s + ts[-1], max_n - s) + 1):
+            into = fresh[bisect_left(gaps, k - s)]
+            # descending, so uses[d - 1] still stops below k
+            for d in range(len(uses), 1, -1):
+                # the lightest shape in uses[d - 1]: s, s + 1, ..., s + d - 2
+                lightest = (d - 1) * s + (d - 2) * (d - 1) // 2
+                if lightest + k > max_n:
+                    continue
+                exact = _pile(uses[d - 1], k, max_n - lightest, slot, mask)
+                into[d] += exact
+                if d == len(uses):
+                    uses.append(exact)
+                else:
+                    uses[d] += exact
+    series = {}
+    totals = [0] * (sizes + 1)
+    for gap, added in zip(gaps, fresh):
+        below = totals
+        totals = [column + extra for column, extra in zip(below, added)]
+        if gap not in ts:
+            continue
+        # by[o]: the column of o marks; below[d] counts the gaps under t
+        # and totals[d] - below[d] the gap t
+        by = [0] * (sizes + 1)
+        for d in range(1, sizes + 1):
+            every, top_unmarked = _mark_histograms(d)
+            exact = totals[d] - below[d]
+            for o in range(d + 1):
+                by[o] += every[o] * below[d] + top_unmarked[o] * exact
+        terms = {}
+        cells = zip(*(_unpack(column, slot_bytes, width) for column in by))
+        for n, counts in enumerate(cells):
+            row = {o: count for o, count in enumerate(counts) if count}
+            if row:
+                terms[n] = ZLaurentPoly._make(row)
+        series[gap] = QSeries.from_terms(terms, max_n + 1)
+    return series

@@ -448,6 +448,18 @@ def test_verify_all_small(capsys):
     assert sum(1 for e in entries if e["suite"] == "fibers") == 4
 
 
+def test_verify_gf_reaches_order_100(capsys):
+    # every coefficient below q^100 at twelve bounds: a census that
+    # visited shapes would walk the 259,050,602 with gap at most 12
+    code, out, err = run(capsys, "verify", "--suite", "gf", "--t", "1..12", "--order", "100")
+    assert code == 0 and err == ""
+    entries = json.loads(out)
+    assert [entry["t"] for entry in entries] == list(range(1, 13))
+    for entry in entries:
+        assert entry["pass"] is True and entry["order"] == 100
+        assert entry["details"] == {"compared_to": "enumeration", "max_n": 99}
+
+
 def test_verify_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_q_chu_vandermonde", lambda *a, **k: False)
     code, out, err = run(capsys, "verify", "--suite", "chu", "--t", "1", "--order", "8")

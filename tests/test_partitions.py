@@ -1,5 +1,9 @@
 """Overpartition model, parsers, membership, enumeration, and statistics."""
 
+import time
+import tracemalloc
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,7 @@ from overgap.partitions import (
     Overpartition,
     Stats,
     _mark_histograms,
+    _shapes,
     enumerated_bounded_gap_gf,
     gf_from_enumeration,
     is_bounded_gap,
@@ -22,7 +27,7 @@ from overgap.partitions import (
     parse_overpartition,
     stats,
 )
-from overgap.qseries import ZLaurentPoly, pochhammer_infinite, qs_invert, qs_mul, QMonomial
+from overgap.qseries import QSeries, ZLaurentPoly, pochhammer_infinite, qs_invert, qs_mul, QMonomial
 
 from helpers import (
     brute_bounded_gap,
@@ -294,6 +299,79 @@ def test_census_on_pruning_bound_sets(ts):
 def test_census_rejects_nonpositive_bounds():
     with pytest.raises(ValueError):
         enumerated_bounded_gap_gf([0, 3], 5)
+
+
+def walked_census(ts, max_n):
+    """The census by visiting every shape with gap at most the largest bound.
+
+    A shape with d distinct sizes has comb(d, o) mark patterns with o
+    marks, and comb(d - 1, o) of them leave its largest size unmarked.
+    """
+    ts = sorted(set(ts))
+    tables = {t: {} for t in ts}
+    for n in range(1, max_n + 1):
+        for shape in _shapes(n, n, gap=ts[-1]):
+            d, gap = len(shape), shape[0][0] - shape[-1][0]
+            for t in ts:
+                if gap > t:
+                    continue
+                free = d if gap < t else d - 1
+                row = tables[t].setdefault(n, {})
+                for o in range(free + 1):
+                    row[o] = row.get(o, 0) + comb(free, o)
+    return {
+        t: QSeries.from_terms({n: ZLaurentPoly(row) for n, row in table.items()}, max_n + 1)
+        for t, table in tables.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "ts, max_n",
+    [
+        (range(1, 7), 30),
+        (range(12, 15), 30),
+        (range(40, 43), 30),
+        ([4, 2, 4, 2, 4], 18),     # repeated bounds
+        ([1, 3], 0),
+        ([1, 3], 1),
+        ([50, 60], 12),            # bounds above max_n
+        ([3, 40], 25),             # gaps between the bounds
+    ],
+)
+def test_census_matches_a_walk_over_the_shapes(ts, max_n):
+    census = enumerated_bounded_gap_gf(ts, max_n)
+    walked = walked_census(ts, max_n)
+    assert sorted(census) == sorted(walked)
+    for t, series in walked.items():
+        assert census[t] == series
+        assert census[t].order == max_n + 1
+
+
+def test_census_edge_inputs():
+    assert enumerated_bounded_gap_gf([], 10) == {}
+    assert enumerated_bounded_gap_gf([], 0) == {}
+    for ts in ([0], [-2, 4], [5, 0, 5]):
+        with pytest.raises(ValueError):
+            enumerated_bounded_gap_gf(ts, 5)
+
+
+@pytest.mark.parametrize("ts", [range(1, 101), [100]])
+def test_census_memory_stays_near_its_result(ts):
+    # the census holds a few columns per bound, not one per (d, gap)
+    # pair, and nothing it builds outlives the call
+    tracemalloc.start()
+    try:
+        began = time.perf_counter()
+        census = enumerated_bounded_gap_gf(ts, 150)
+        took = time.perf_counter() - began
+        held, peak = tracemalloc.get_traced_memory()
+        del census
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * held
+    assert left < 64 * 1024
+    assert took < 10
 
 
 # -- randomized model checks ----------------------------------------------
