@@ -68,7 +68,6 @@ link of the chain checks the kernel against another method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
@@ -113,8 +112,7 @@ class NonTerminatingWithoutConvergence(ValueError):
     """Terms cannot be bounded: no terminating parameter and no decay."""
 
 
-@dataclass(frozen=True)
-class HypergeometricSpec:
+class HypergeometricSpec(NamedTuple):
     """Parameters of a basic hypergeometric series, all signed monomials."""
 
     numerator: tuple[QMonomial, ...]
@@ -423,8 +421,7 @@ class LineCheck(NamedTuple):
         return entry
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Pairwise comparison results along the derivation chain."""
 
     t: int

@@ -31,7 +31,6 @@ against literal enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .partitions import (
@@ -141,8 +140,7 @@ def _without_t(pi: Overpartition, t: int) -> list[tuple[int, int, bool]]:
     return list(runs[1:] if runs[0][0] == t else runs)
 
 
-@dataclass(frozen=True)
-class PreimageReport:
+class PreimageReport(NamedTuple):
     """A complete fiber over one bounded-parts overpartition.
 
     ``same_marks`` counts fiber members with exactly the image's number
@@ -259,8 +257,7 @@ def merge_preimages(mu: Overpartition, t: int) -> PreimageReport:
     return _preimage_report(mu, t, fiber)
 
 
-@dataclass(frozen=True)
-class FiberCheck:
+class FiberCheck(NamedTuple):
     """Outcome of :func:`verify_fiber_identity`."""
 
     which: str

@@ -191,16 +191,18 @@ class Overpartition:
         return f"Overpartition({str(self)!r})"
 
 
-class Bipartition:
+class Bipartition(
+    NamedTuple("Bipartition", [("t", int), ("t_count", int), ("second", Overpartition)])
+):
     """A block of unmarked t's together with an overpartition into parts <= t.
 
     The first component records only how many copies of t it holds; the
     second is nonempty and may mark any of its sizes, including t.
     """
 
-    __slots__ = ("t", "t_count", "second")
+    __slots__ = ()
 
-    def __init__(self, t: int, t_count: int, second: Overpartition):
+    def __new__(cls, t: int, t_count: int, second: Overpartition):
         t = int(t)
         t_count = int(t_count)
         if t < 1:
@@ -211,9 +213,7 @@ class Bipartition:
             raise InvalidPartition(
                 f"second component has part {second.largest} above the bound {t}"
             )
-        self.t = t
-        self.t_count = t_count
-        self.second = second
+        return super().__new__(cls, t, t_count, second)
 
     @property
     def weight(self) -> int:
@@ -222,18 +222,6 @@ class Bipartition:
     @property
     def num_marked(self) -> int:
         return self.second.num_marked
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Bipartition):
-            return NotImplemented
-        return (
-            self.t == other.t
-            and self.t_count == other.t_count
-            and self.second == other.second
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.t_count, self.second))
 
     def __str__(self) -> str:
         return f"[{self.t}^{self.t_count} | {self.second}]"

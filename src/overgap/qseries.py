@@ -78,10 +78,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import add, neg, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "QSeriesError",
@@ -303,8 +302,7 @@ _Z_ZERO = ZLaurentPoly.zero()
 _Z_ONE = ZLaurentPoly.one()
 
 
-@dataclass(frozen=True, slots=True)
-class QMonomial:
+class QMonomial(NamedTuple("QMonomial", [("sign", int), ("z_exp", int), ("q_exp", int)])):
     """A signed monomial sign * z^z_exp * q^q_exp with sign in {+1, -1}.
 
     Closed under multiplication and division, which is what makes the
@@ -312,13 +310,12 @@ class QMonomial:
     exactly representable.
     """
 
-    sign: int
-    z_exp: int
-    q_exp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __new__(cls, sign: int, z_exp: int, q_exp: int):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, sign, z_exp, q_exp)
 
     @classmethod
     def q_power(cls, q_exp: int) -> "QMonomial":

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -325,7 +324,7 @@ def test_preimages_check_names_the_member(capsys, monkeypatch, change, named):
 
     def altered(mu, t):
         report = real(mu, t)
-        return replace(report, fiber=change(list(report.fiber)))
+        return report._replace(fiber=change(list(report.fiber)))
 
     monkeypatch.setattr(cli, "fold_preimages", altered)
     code, out, err = run(capsys, "preimages", "--t", "3", "--map", "fold", "3,3,3", "--check")
@@ -488,7 +487,7 @@ def test_verify_fiber_failure_names_the_image(capsys, monkeypatch, member, failu
     def altered(mu, t):
         report = real(mu, t)
         if mu == image:
-            report = replace(report, fiber=report.fiber + (parse_overpartition(member),))
+            report = report._replace(fiber=report.fiber + (parse_overpartition(member),))
         return report
 
     monkeypatch.setattr(maps, "fold_preimages", altered)

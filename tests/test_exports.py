@@ -1,8 +1,11 @@
-"""Every exported name resolves, and the package exports what it re-exports."""
+"""Every exported name resolves, the package exports what it re-exports,
+its value records are frozen, and importing it stays cheap."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -58,3 +61,41 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def _records():
+    mu, one = overgap.parse_overpartition("3,1"), overgap.QMonomial(1, 0, 0)
+    return [
+        one,
+        overgap.Bipartition(3, 1, mu),
+        overgap.HypergeometricSpec((one,), (), one),
+        overgap.verify_identity_chain(1, 4),
+        overgap.fold_preimages(mu, 3),
+        overgap.verify_fiber_identity(1, 4, "fold"),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_records_are_frozen(record):
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None  # a subclass without __slots__ = () would take it
+
+
+def test_import_pulls_in_neither_dataclasses_nor_inspect():
+    src = str(pathlib.Path(overgap.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, overgap, overgap.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],  # -S: no site hooks, only the package
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout == "[]\n"

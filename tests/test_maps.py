@@ -3,7 +3,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +159,13 @@ def test_fold_fiber_mixed_parts():
     ]
     assert report.expected_size == 7
     assert report.same_marks == 4 and report.one_more_mark == 3
+
+
+def test_preimage_report_repr():
+    assert repr(fold_preimages(op("3,1"), 3)) == (
+        "PreimageReport(mu=Overpartition('3,1'), t=3, fiber=(Overpartition('4'), "
+        "Overpartition('3,1'), Overpartition('3~,1')), same_marks=2, one_more_mark=1)"
+    )
 
 
 def test_fold_fiber_without_bound_parts_is_trivial():
@@ -325,7 +331,7 @@ def test_fiber_failure_over_one_image_is_named(monkeypatch, fiber, failure):
         report = real(mu, t)
         if mu != image:
             return report
-        return replace(report, fiber=tuple(map(parse_overpartition, fiber)))
+        return report._replace(fiber=tuple(map(parse_overpartition, fiber)))
 
     monkeypatch.setattr(maps, "fold_preimages", altered)
     check = verify_fiber_identity(3, 8, "fold")

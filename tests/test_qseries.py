@@ -108,6 +108,18 @@ def test_monomial_algebra():
     assert m.z_part() == zp({1: -1})
 
 
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_monomial_rejects_signs_other_than_one(sign):
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+        QMonomial(sign, 0, 0)
+
+
+def test_monomial_repr_and_hash():
+    m = QMonomial(-1, 1, 2)
+    assert repr(m) == "QMonomial(sign=-1, z_exp=1, q_exp=2)"
+    assert hash(m) == hash((-1, 1, 2))
+
+
 # -- window semantics ----------------------------------------------------
 
 
