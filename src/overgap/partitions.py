@@ -215,6 +215,10 @@ class Bipartition(
             )
         return super().__new__(cls, t, t_count, second)
 
+    @classmethod
+    def _make(cls, iterable) -> "Bipartition":  # _replace calls it: keep the checks
+        return cls(*iterable)
+
     @property
     def weight(self) -> int:
         return self.t * self.t_count + self.second.weight

@@ -318,6 +318,10 @@ class QMonomial(NamedTuple("QMonomial", [("sign", int), ("z_exp", int), ("q_exp"
         return super().__new__(cls, sign, z_exp, q_exp)
 
     @classmethod
+    def _make(cls, iterable) -> "QMonomial":  # _replace calls it: keep the check
+        return cls(*iterable)
+
+    @classmethod
     def q_power(cls, q_exp: int) -> "QMonomial":
         return cls(1, 0, q_exp)
 
@@ -765,15 +769,28 @@ def qs_invert(a: QSeries, target_order: int) -> QSeries:
 
 def _factors(
     families: Sequence[tuple[QMonomial, int]], width: int, lift: int = 0
-) -> list[tuple[int, int, int]]:
+) -> tuple[list[tuple[int, int, int]], QMonomial | None]:
     """The factors (1 - b*q^s) of the families (b q^lift; q)_n, as
-    (sign, z_exp, s) in family order, leaving out every factor whose s
-    reaches the window's width: it changes nothing there."""
-    return [
-        (b.sign, b.z_exp, s)
+    (sign, z_exp, s) in family order, and their window shift, None when
+    no s is negative.  As b = +-1, a factor with s < 0 is
+    -b*z^j*q^s * (1 - b*z^-j*q^-s): it is listed as (sign, -j, -s), and
+    its monomial multiplies into the shift.  A factor whose listed s
+    reaches the window's width changes nothing there and is left out."""
+    factors = [
+        (b.sign, b.z_exp, s) if s >= 0 else (b.sign, -b.z_exp, -s)
         for b, n in families
         for s in range(b.q_exp + lift, min(b.q_exp + lift + n, width))
+        if s > -width
     ]
+    sign, z_exp, q_exp = 1, 0, 0
+    for b, n in families:
+        low = b.q_exp + lift
+        if low < 0 < n:
+            turned = min(n, -low)  # s = low, ..., low + turned - 1 are negative
+            sign *= (-b.sign) ** turned
+            z_exp += b.z_exp * turned
+            q_exp += (2 * low + turned - 1) * turned // 2
+    return factors, QMonomial(sign, z_exp, q_exp) if q_exp else None
 
 
 def _without(factors: list[tuple[int, int, int]], drop: Counter) -> list[tuple[int, int, int]]:
@@ -807,68 +824,56 @@ def qs_pochhammer_ratio(
     """Multiply by (b; q)_n for each (b, n) in ``num`` and divide by
     (c; q)_m for each (c, m) in ``den``, which needs every c.q_exp >= 1.
 
-    Factors whose q-exponent reaches the window's width change nothing and
-    are skipped (:func:`_factors`).  A factor (1 - b*q^s) that a numerator
-    and a denominator family share (same sign, z-exponent and s) cancels
-    before any pass, so a quotient of infinite products costs what its
-    telescoped form does: (a; q)_inf / (a*q^k; q)_inf is the k passes of
-    (a; q)_k.  Every shared s is at least 1, so the window stays; with no
-    factor left, ``a`` is returned.
+    :func:`_factors` turns the factors with a negative q-exponent into
+    one window shift, applied last, and skips those past the window.  A
+    factor (1 - b*q^s) that a numerator and a denominator family share
+    (same sign, z-exponent and s) cancels before any pass, so
+    (a; q)_inf / (a*q^k; q)_inf costs the k passes of (a; q)_k.  With no
+    factor left and no shift, ``a`` is returned.
 
     The rows are copied once and every factor left is one in-place pass
-    over them, in family order.  A product pass adds -b * row (e - s) into
-    row e, each row read before it is written: downward for s > 0, upward
-    for s < 0, from a snapshot for s = 0.  A negative s lowers the window
-    by -s and keeps its width, so the rows are laid once from the summed
-    negative exponents and each such pass drops the top -s rows.  The
-    quotient passes then run upward, adding c * row (e - s), already
-    divided, into row e.
+    over them on ``a``'s window, in family order: a product pass adds
+    -b * row (e - s) into row e, downward (from a snapshot for s = 0),
+    then a quotient pass adds c * row (e - s), already divided, upward.
     """
     _check_convergent(den)
     width = a.order - a.min_exp
-    num, den = _factors(num, width), _factors(den, width)
+    (num, shift), (den, _) = _factors(num, width), _factors(den, width)
     if not set(num).isdisjoint(den):
         shared = Counter(num) & Counter(den)
         num, den = _without(num, shared.copy()), _without(den, shared)
-    if not num and not den:
-        return a
-    # the negative factors lower the window by -low: lay a's rows that far up
-    low = sum(s for _, _, s in num if s < 0)
-    rows: list[dict[int, int]] = [{} for _ in range(width - low)]
-    rows[-low:len(a.coeffs) - low] = [dict(row._terms) for row in a.coeffs]
-    known = len(rows)  # rows at and past this one lie past the window
-    for sign, z_shift, s in num:
-        sign = -sign
-        if s < 0:
-            known += s
-        for i in range(known) if s < 0 else range(known - 1, s - 1, -1):
-            src = rows[i - s]
-            if src:
-                _add_into(rows[i], dict(src) if s == 0 else src, z_shift, sign)
-    del rows[known:]
-    for sign, z_shift, s in den:
-        for i in range(s, width):
-            src = rows[i - s]
-            if src:
-                _add_into(rows[i], src, z_shift, sign)
-    return QSeries(a.min_exp + low, [ZLaurentPoly._make(r) for r in rows], a.order + low)
+    if num or den:
+        rows = [dict(row._terms) for row in a.coeffs]
+        rows += [{} for _ in range(width - len(rows))]
+        for sign, z_shift, s in num:
+            sign = -sign
+            for i in range(width - 1, s - 1, -1):
+                src = rows[i - s]
+                if src:
+                    _add_into(rows[i], dict(src) if s == 0 else src, z_shift, sign)
+        for sign, z_shift, s in den:
+            for i in range(s, width):
+                src = rows[i - s]
+                if src:
+                    _add_into(rows[i], src, z_shift, sign)
+        a = QSeries(a.min_exp, [ZLaurentPoly._make(r) for r in rows], a.order)
+    return a._times_monomial(shift) if shift else a
 
 
 def pochhammer(a: QMonomial, n: int, target_order: int) -> QSeries:
     """The finite product (a; q)_n = prod_{k=0}^{n-1} (1 - a*q^k).
 
-    Exact up to ``target_order`` even when ``a`` has a nonpositive
-    q-exponent, in which case the result is a genuine Laurent series.  A
-    window that ends at or below the product's lowest exponent holds
-    nothing of it: the result is the zero series of that order.
+    Exact up to ``target_order`` even when ``a`` has a negative
+    q-exponent: the product then starts at :func:`_factors`' window shift,
+    and on a window that ends at or below that it is the zero series.
     """
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    low = sum(range(a.q_exp, min(a.q_exp + n, 0)))  # the negative factors' exponents
+    shift = _factors([(a, n)], 0)[1]
+    low = shift.q_exp if shift else 0
     if target_order <= low:
         return QSeries.zero(target_order)
-    start = QSeries.one(target_order - low)
-    return qs_pochhammer_ratio(start, [(a, n)], ())
+    return qs_pochhammer_ratio(QSeries.one(target_order - low), [(a, n)], ())
 
 
 def pochhammer_infinite(a: QMonomial, target_order: int) -> QSeries:
@@ -916,26 +921,28 @@ class ZColumns:
     """A working buffer that holds a truncated series as dense integer
     z-columns, for a walk of many Pochhammer passes over one series.
 
-    ``columns[k][i]`` is the coefficient of z^(z0 + k) q^(q0 + i), and
-    every column spans the whole window [q0, order).  Each factor
-    (1 - sign*z^j q^s) of :meth:`pochhammer_ratio` is one slice pass per
-    column, a C-level loop over a list of ints, where
+    ``columns[k][i]`` times the buffer's ``sign`` (+1 or -1) is the
+    coefficient of z^(z0 + k) q^(q0 + i), and every column spans the whole
+    window [q0, order); :meth:`times_monomial` changes only the sign and
+    the exponents.  Each factor (1 - b*z^j q^s) of :meth:`pochhammer_ratio`
+    is one slice pass per column, a C-level loop over a list of ints, where
     :func:`qs_pochhammer_ratio` merges each z-term of a row in Python; the
-    ratio then drops the zero columns at both ends, so the zero series
-    has none.  That wins when the series is dense in z over its window
-    and takes many passes between conversions: rows become columns once
-    on the way in (:meth:`from_series`) and columns rows once on the way
-    out (:meth:`to_series`).  Unlike the value types, a buffer is changed
-    in place by each method.
+    ratio then drops the zero columns at both ends, so the zero series has
+    none.  That wins when the series is dense in z over its window and
+    takes many passes between conversions: rows become columns once on the
+    way in (:meth:`from_series`) and columns rows once on the way out
+    (:meth:`to_series`).  Unlike the value types, a buffer is changed in
+    place by each method.
     """
 
-    __slots__ = ("q0", "order", "z0", "columns")
+    __slots__ = ("q0", "order", "z0", "columns", "sign")
 
     def __init__(self, q0: int, order: int, z0: int, columns: list[list[int]]):
         self.q0 = q0
         self.order = order
         self.z0 = z0
         self.columns = columns
+        self.sign = 1
 
     @classmethod
     def from_series(cls, series: QSeries) -> "ZColumns":
@@ -956,7 +963,8 @@ class ZColumns:
             ZLaurentPoly._make(dict(compress(zip(z_exps, cells), cells)))
             for cells in zip(*self.columns)
         ]
-        return QSeries(self.q0, rows, self.order)
+        series = QSeries(self.q0, rows, self.order)
+        return series if self.sign == 1 else -series
 
     def pochhammer_ratio(
         self,
@@ -971,31 +979,30 @@ class ZColumns:
         applies the same families one q-step higher each time build them
         once.
 
-        Factors whose q-exponent reaches the window's width are skipped by
-        the kernel's rule, :func:`_factors`; a negative one lowers the
-        window and keeps its width.  Factors that a numerator and a
-        denominator family share are not cancelled: they cost their two
-        passes.
+        The factors are :func:`_factors`', and their window shift is one
+        :meth:`times_monomial`; factors that a numerator and a denominator
+        family share are not cancelled: they cost their two passes.
         """
         _check_convergent(den, lift)
         width = self.order - self.q0
-        for passes, families in ((self._times, num), (self._over, den)):
-            for sign, j, s in _factors(families, width, lift):
+        (num, shift), (den, _) = _factors(num, width, lift), _factors(den, width, lift)
+        for passes, factors in ((self._times, num), (self._over, den)):
+            for sign, j, s in factors:
                 if j < 0:
                     self._flipped(passes, sign, j, s)
                 else:
                     passes(sign, j, s)
+        if shift:
+            self.times_monomial(shift)
         self._trim()
 
     def times_monomial(self, mono: QMonomial) -> None:
         """Multiply by a monomial: a shift of the window and of z0, and a
-        negation of every column when its sign is -1."""
+        change of the buffer's sign when its sign is -1."""
         self.q0 += mono.q_exp
         self.order += mono.q_exp
         self.z0 += mono.z_exp
-        if mono.sign == -1:
-            for col in self.columns:
-                col[:] = map(neg, col)
+        self.sign *= mono.sign
 
     def truncate(self, order: int) -> None:
         """Forget the coefficients at or past ``order``.  Never widens."""
@@ -1030,34 +1037,22 @@ class ZColumns:
             columns[:0] = [[0] * width for _ in range(self.z0)]
             self.z0 = 0
         columns.extend([0] * width for _ in range(len(columns), 1 - self.z0))
-        columns[-self.z0][-self.q0] += 1
+        columns[-self.z0][-self.q0] += self.sign
 
     def _times(self, sign: int, j: int, s: int) -> None:
-        """Multiply by (1 - sign*z^j q^s), j >= 0: column k+j takes away
-        sign times column k shifted up by s, each column read before it
-        is written (downward in k).  A negative s lowers the window by -s
-        and keeps its width: every column moves up by -s, and the copies
-        taken away are the columns as they were."""
+        """Multiply by (1 - sign*z^j q^s), j >= 0, 0 <= s < width: column
+        k+j takes away sign times column k shifted up by s, each column
+        read before it is written (downward in k)."""
         columns = self.columns
-        if s < 0:
-            self.q0 += s
-            self.order += s
         if not columns:
             return
         width = self.order - self.q0
         op = sub if sign == 1 else add
-        sources = columns
-        if s < 0:
-            pad = [0] * min(-s, width)
-            columns = self.columns = [pad + col[:width - len(pad)] for col in sources]
-        count = len(sources)
+        count = len(columns)
         columns.extend([0] * width for _ in range(j))
         for k in range(count - 1, -1, -1):
             dst = columns[k + j]
-            if s > 0:
-                dst[s:] = map(op, dst[s:], sources[k][:width - s])
-            else:
-                dst[:] = map(op, dst, sources[k])
+            dst[s:] = map(op, dst[s:], columns[k][:width - s])
 
     def _over(self, sign: int, j: int, s: int) -> None:
         """Divide by (1 - sign*z^j q^s), j >= 0, 1 <= s < width: column k

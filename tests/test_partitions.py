@@ -126,6 +126,16 @@ def test_bipartition_allows_marked_bound_in_second():
         Bipartition(3, 0, op("4"))
 
 
+def test_bipartition_replace_keeps_the_checks():
+    beta = Bipartition(3, 1, op("3,1"))
+    with pytest.raises(InvalidPartition, match="second component has part 3 above the bound 1"):
+        beta._replace(t=1)
+    with pytest.raises(InvalidPartition, match="t_count must be nonnegative"):
+        Bipartition._make((3, -1, op("1")))
+    wider = beta._replace(t_count=2)
+    assert type(wider) is Bipartition and wider == Bipartition(3, 2, op("3,1"))
+
+
 # -- membership ----------------------------------------------------------
 
 

@@ -114,6 +114,16 @@ def test_monomial_rejects_signs_other_than_one(sign):
         QMonomial(sign, 0, 0)
 
 
+def test_monomial_replace_and_make_keep_the_sign_check():
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+        QMonomial(1, 0, 0)._replace(sign=0)
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+        QMonomial._make((5, 0, 0))
+    m = QMonomial(1, 0, 0)._replace(q_exp=3)
+    assert type(m) is QMonomial and m == Q(3)
+    assert type(QMonomial._make((-1, 2, 1))) is QMonomial
+
+
 def test_monomial_repr_and_hash():
     m = QMonomial(-1, 1, 2)
     assert repr(m) == "QMonomial(sign=-1, z_exp=1, q_exp=2)"
@@ -1267,6 +1277,14 @@ quotient_families = st.lists(
 )
 @example(QSeries.one(9), [(QMonomial(1, 0, 0), 1), (QMonomial(-1, 1, -2), 4)], [(Q(1), 5)])
 @example(QSeries.zero(4), [(QMonomial(1, -1, -3), 6)], [(NEG_ZQ, 3)])
+# turned around, the factor's q^5 reaches the width: only its shift is left
+@example(QSeries.one(3), [(QMonomial(1, 0, -5), 1)], [])
+# turned around, (1 - q^-2) is -q^-2 (1 - q^2), and (1 - q^2) cancels
+@example(
+    QSeries(-1, [zp({0: 2, 1: -1}), zp({}), zp({-1: 3})], 9),
+    [(QMonomial(1, 0, -2), 1)],
+    [(Q(2), 1)],
+)
 def test_pochhammer_ratio_matches_row_loops(a, num, den):
     # products first, then quotients, each family one factor at a time
     expected = a
@@ -1426,6 +1444,10 @@ lifts = st.integers(min_value=0, max_value=2)
 @example(QSeries.zero(3), QMonomial(-1, 1, -3), 6, 1)
 # a lifted family that crosses the window's width: only s = 5 applies
 @example(QSeries.one(6), QMonomial(1, 1, 3), 4, 2)
+# lifted to q^-5, the turned factor's q^5 reaches the width: only the shift
+@example(QSeries.one(3), QMonomial(1, 0, -6), 1, 1)
+# lifted to q^-3..q^-1, each turned factor carries z^-1: a flipped pass
+@example(QSeries(0, [zp({0: 1}), zp({1: -1})], 9), QMonomial(-1, 1, -4), 3, 1)
 def test_column_products_match_the_kernel(a, mono, n, lift):
     expected = qseries.qs_pochhammer_ratio(a, lifted([(mono, n)], lift), ())
     assert column_ratio(a, [(mono, n)], (), lift) == expected
