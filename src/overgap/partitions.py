@@ -64,28 +64,47 @@ class InvalidPartition(ValueError):
     """Raised for text or constructor input that is not a valid overpartition."""
 
 
+def _check_runs(runs: tuple[tuple[int, int, bool], ...]) -> None:
+    """Raise unless the runs are nonempty, every part and multiplicity is
+    at least 1 and the part sizes strictly decrease."""
+    if not runs:
+        raise InvalidPartition("overpartitions here are nonempty")
+    previous = None
+    for part, mult, _ in runs:
+        if part < 1 or mult < 1:
+            raise InvalidPartition(f"bad run ({part}, {mult}): need part, mult >= 1")
+        if previous is not None and part >= previous:
+            raise InvalidPartition("run part sizes must strictly decrease")
+        previous = part
+
+
 class Overpartition:
     """Canonical overpartition stored as runs of equal parts.
 
     ``runs`` is a tuple of ``(part, multiplicity, marked)`` triples with
     strictly decreasing positive parts and positive multiplicities; the
     mark flag says whether the first part of the run is overlined.
+
+    The constructor converts each run to ``(int, int, bool)`` and then
+    checks it.  ``_checked`` only checks, for runs that are already ints
+    and bools (the maps build theirs from checked runs), and ``_trusted``
+    does neither, for enumeration, which builds canonical runs only.
     """
 
     __slots__ = ("runs",)
 
     def __init__(self, runs):
         runs = tuple((int(p), int(m), bool(o)) for p, m, o in runs)
-        if not runs:
-            raise InvalidPartition("overpartitions here are nonempty")
-        previous = None
-        for part, mult, _ in runs:
-            if part < 1 or mult < 1:
-                raise InvalidPartition(f"bad run ({part}, {mult}): need part, mult >= 1")
-            if previous is not None and part >= previous:
-                raise InvalidPartition("run part sizes must strictly decrease")
-            previous = part
+        _check_runs(runs)
         self.runs = runs
+
+    @classmethod
+    def _checked(cls, runs) -> "Overpartition":
+        # the constructor's checks without its conversion: the caller
+        # guarantees every run is an (int, int, bool) triple
+        runs = tuple(runs)
+        _check_runs(runs)
+        return cls._trusted(runs)
 
     @classmethod
     def _trusted(cls, runs: tuple[tuple[int, int, bool], ...]) -> "Overpartition":

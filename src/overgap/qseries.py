@@ -779,8 +779,7 @@ def _factors(
     factors = [
         (b.sign, b.z_exp, s) if s >= 0 else (b.sign, -b.z_exp, -s)
         for b, n in families
-        for s in range(b.q_exp + lift, min(b.q_exp + lift + n, width))
-        if s > -width
+        for s in range(max(b.q_exp + lift, 1 - width), min(b.q_exp + lift + n, width))
     ]
     sign, z_exp, q_exp = 1, 0, 0
     for b, n in families:

@@ -340,6 +340,67 @@ def test_fiber_failure_over_one_image_is_named(monkeypatch, fiber, failure):
     assert check.first_difference is None
 
 
+MERGE_FIBER_331 = ["[3^2 | 1]", "[3^1 | 3,1]", "[3^1 | 3~,1]", "[3^0 | 3,3,1]", "[3^0 | 3~,3,1]"]
+
+
+@pytest.mark.parametrize(
+    "fiber, failure",
+    [
+        (
+            MERGE_FIBER_331[:2] + ["[3^1 | 3~,2]"] + MERGE_FIBER_331[3:],
+            "[3^1 | 3~,2] does not map onto 3,3,1",
+        ),
+        (
+            MERGE_FIBER_331 + ["[3^2 | 1]"],
+            "fiber census over 3,3,1 is 2*z + 4, expected 2*z + 3",
+        ),
+        (
+            MERGE_FIBER_331[:1] * 2 + MERGE_FIBER_331[2:],
+            "fiber over 3,3,1 has repeated members",
+        ),
+        (
+            MERGE_FIBER_331[:4] + ["[2^0 | 2~,2,2,1]"],
+            "fiber over 3,3,1 holds a member outside the domain: [2^0 | 2~,2,2,1] is a "
+            "bipartition at t=2, but t=3 was given",
+        ),
+    ],
+)
+def test_merge_fiber_failure_over_one_image_is_named(monkeypatch, fiber, failure):
+    real = maps.merge_preimages
+    image = parse_overpartition("3,3,1")
+    assert [str(member) for member in real(image, 3).fiber] == MERGE_FIBER_331
+
+    def altered(mu, t):
+        report = real(mu, t)
+        if mu != image:
+            return report
+        return report._replace(fiber=tuple(map(parse_bipartition, fiber)))
+
+    monkeypatch.setattr(maps, "merge_preimages", altered)
+    check = verify_fiber_identity(3, 8, "merge")
+    assert not check.passed
+    assert check.first_failure == failure
+    assert check.first_difference is None
+
+
+def _exact_runs(pi):
+    return type(pi.runs) is tuple and all(
+        tuple(map(type, run)) == (int, int, bool) for run in pi.runs
+    )
+
+
+@pytest.mark.parametrize("t", [1, 3, 5])
+def test_maps_and_fibers_build_exact_runs(t):
+    # the maps build runs through Overpartition._checked, which checks but
+    # does not convert: every run they return must already be (int, int, bool)
+    for n in range(1, 13):
+        for mu in iter_bounded_parts(t, n):
+            for member in fold_preimages(mu, t).fiber:
+                assert _exact_runs(member) and _exact_runs(fold(member, t))
+            for member in merge_preimages(mu, t).fiber:
+                assert _exact_runs(member.second) and _exact_runs(merge(member, t))
+
+
 def test_fiber_aggregate_failure_names_the_coefficient(monkeypatch, capsys):
     real = maps.gf_from_enumeration
 

@@ -57,6 +57,32 @@ def test_canonical_run_validation():
         Overpartition(((0, 1, False),))         # nonpositive part
 
 
+def test_constructor_converts_runs():
+    pi = Overpartition([[3, 2, 1], [1, 1, 0]])
+    assert pi.runs == ((3, 2, True), (1, 1, False))
+    assert [tuple(map(type, run)) for run in pi.runs] == [(int, int, bool)] * 2
+    canonical = Overpartition(((3, 2, True), (1, 1, False)))
+    assert pi == canonical and hash(pi) == hash(canonical)
+    assert Overpartition._checked([(3, 2, True), (1, 1, False)]) == canonical
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        (),
+        ((1, 1, False), (3, 1, False)),
+        ((3, 0, False),),
+        ((0, 1, False),),
+    ],
+)
+def test_checked_runs_raise_the_constructor_message(runs):
+    with pytest.raises(InvalidPartition) as public:
+        Overpartition(runs)
+    with pytest.raises(InvalidPartition) as checked:
+        Overpartition._checked(runs)
+    assert str(checked.value) == str(public.value)
+
+
 def test_from_parts_normalizes_mark_position():
     a = Overpartition.from_parts([(3, False), (3, True), (1, False)])
     b = Overpartition.from_parts([(3, True), (3, False), (1, False)])

@@ -476,6 +476,18 @@ def test_binomial_kernels_past_the_window_return_the_input():
         assert ratio is WINDOW_5
 
 
+@pytest.mark.parametrize("n", [10**4, 10**7])
+def test_long_negative_family_lists_only_the_factors_inside_the_window(n):
+    # (q^-n; q)_n is (-1)^n q^-(n(n+1)/2) (q; q)_n: on a width-5 window only
+    # (1 - q)...(1 - q^4) are left, and the rest of the family is the shift
+    ratio = qseries.qs_pochhammer_ratio(QSeries.one(5), [(QMonomial(1, 0, -n), n)], ())
+    low = -n * (n + 1) // 2
+    assert ratio == QSeries.from_terms({low: 1, low + 1: -1, low + 2: -1}, low + 5)
+    factors, shift = qseries._factors([(QMonomial(1, 0, -n), n)], 5)
+    assert factors == [(1, 0, 4), (1, 0, 3), (1, 0, 2), (1, 0, 1)]
+    assert shift == QMonomial(1, 0, low)
+
+
 def test_div_pochhammer_rejects_divergent_factor_on_empty_window():
     with pytest.raises(DivergentProduct):
         div_pochhammer(QSeries.zero(5), QMonomial(1, 0, 0), 3)
