@@ -31,6 +31,7 @@ against literal enumeration.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import NamedTuple
 
@@ -95,6 +96,7 @@ def solve_split(parts: int, multiples: int) -> SplitSolution:
 
 def fold(pi: Overpartition, t: int) -> Overpartition:
     """Fold a bounded-gap overpartition into parts of size at most t."""
+    t = operator.index(t)
     if t < 1:
         raise ValueError("the bound t must be positive")
     if not is_bounded_gap(pi, t):
@@ -127,6 +129,7 @@ def fold(pi: Overpartition, t: int) -> Overpartition:
 
 def merge(beta: Bipartition, t: int) -> Overpartition:
     """Merge a bipartition into a single bounded-parts overpartition."""
+    t = operator.index(t)
     if beta.t != t:
         raise NotInDomain(f"{beta} is a bipartition at t={beta.t}, but t={t} was given")
     rest = _without_t(beta.second, t)
@@ -203,6 +206,7 @@ def fold_preimages(mu: Overpartition, t: int) -> PreimageReport:
     such multiple gives one further preimage.  Fiber order: length
     ascending, the unmarked variant before the marked one.
     """
+    t = operator.index(t)
     _require_bounded_parts(mu, t)
     m = mu.multiplicity(t)
     pool = _without_t(mu, t)
@@ -247,6 +251,7 @@ def merge_preimages(mu: Overpartition, t: int) -> PreimageReport:
     it has one) gives the extra-mark variants.  Fiber order: second
     component's t-count ascending, unmarked variant first.
     """
+    t = operator.index(t)
     _require_bounded_parts(mu, t)
     m = mu.multiplicity(t)
     rest = _without_t(mu, t)
@@ -303,6 +308,7 @@ def verify_fiber_identity(t: int, max_n: int, which: str = "fold") -> FiberCheck
     number of marks; polynomials are built only for the final
     comparison and for a failure message.
     """
+    t = operator.index(t)
     if which not in ("fold", "merge"):
         raise ValueError("which must be 'fold' or 'merge'")
     preimages = fold_preimages if which == "fold" else merge_preimages

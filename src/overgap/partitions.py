@@ -169,14 +169,6 @@ class Overpartition:
                 return 0
         return 0
 
-    def is_marked(self, part: int) -> bool:
-        for p, _, o in self.runs:
-            if p == part:
-                return o
-            if p < part:
-                return False
-        return False
-
     def parts(self) -> list[tuple[int, bool]]:
         """Expanded (part, marked) list, marks on first occurrences."""
         out = []
@@ -184,10 +176,6 @@ class Overpartition:
             out.append((part, flag))
             out.extend((part, False) for _ in range(mult - 1))
         return out
-
-    def validate(self) -> None:
-        """Re-run the constructor checks; useful on trusted-path objects."""
-        Overpartition(self.runs)
 
     # -- value semantics -------------------------------------------------
 

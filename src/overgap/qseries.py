@@ -63,10 +63,18 @@ library callers, and why each stays:
   cancel;
 - :func:`qs_mul_finite`, chain line 2's step (the benchmark's tests
   count its product pairs);
-- :func:`qs_invert`, kept for callers; no library path divides with it;
+- :func:`qs_invert`, as ACCEPT-12 checks inversion;
 - ``QSeries.__mul__``, the product of two series.
 Multiplying by a :class:`QMonomial` is a shift of the window, and of the
 z-exponents when the monomial has a z part; no product runs.
+A name the CLI never reaches is deleted unless the acceptance checks or
+the value types' contract need it.  ACCEPT-07 and ACCEPT-12 call
+:func:`qs_add` and :func:`qs_invert`, which uses
+:class:`NonUnitLeadingCoefficient`, ``is_unit_monomial`` and
+``QSeries.__rsub__``; ACCEPT-03 calls :func:`bounded_gap_partition_gf`,
+Breuer-Kronholm's z = 0 case; ``hyper.eval_phi`` reaches
+``ZColumns._flipped``; ``eq_up_to``, ``coeff``, ``zq_coeff``,
+``enumerate_terms``, the operators and string forms are the contract.
 
 Instances of :class:`ZLaurentPoly`, :class:`QMonomial` and
 :class:`QSeries` are immutable values; every operation returns a fresh
@@ -76,7 +84,6 @@ each of its methods, that reads a series in and writes one out.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import accumulate, compress
 from operator import add, neg, sub
@@ -96,7 +103,6 @@ __all__ = [
     "qs_invert",
     "qs_mul_finite",
     "pochhammer",
-    "pochhammer_infinite",
     "qs_pochhammer_ratio",
     "ZColumns",
     "bounded_gap_columns",
@@ -114,7 +120,7 @@ class NonUnitLeadingCoefficient(QSeriesError):
 
 
 class DivergentProduct(QSeriesError):
-    """Infinite products need factors of the form 1 - a*q^k with a.q_exp >= 1."""
+    """Dividing by (c; q)_m needs factors of the form 1 - c*q^k with c.q_exp >= 1."""
 
 
 class InsufficientOrder(QSeriesError):
@@ -264,21 +270,6 @@ class ZLaurentPoly:
             raise ValueError("negative z-exponent needs z in {0, 1, -1}")
         return sum(coeff * z_value**exp for exp, coeff in self._terms.items())
 
-    def to_json_terms(self) -> list[dict]:
-        return [
-            {"z": exp, "c": str(coeff)} for exp, coeff in sorted(self._terms.items())
-        ]
-
-    @classmethod
-    def from_json_terms(cls, terms: Iterable[dict]) -> "ZLaurentPoly":
-        kept: dict[int, int] = {}
-        for item in terms:
-            exp = int(item["z"])
-            if exp in kept:
-                raise ValueError(f"z-exponent {exp} appears twice")
-            kept[exp] = int(item["c"])
-        return cls(kept)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -338,15 +329,6 @@ class QMonomial(NamedTuple("QMonomial", [("sign", int), ("z_exp", int), ("q_exp"
         return QMonomial(
             self.sign * other.sign, self.z_exp - other.z_exp, self.q_exp - other.q_exp
         )
-
-    def __pow__(self, n: int) -> "QMonomial":
-        if n < 0:
-            raise ValueError("negative powers: divide explicitly")
-        return QMonomial(self.sign if n % 2 else 1, self.z_exp * n, self.q_exp * n)
-
-    def z_part(self) -> ZLaurentPoly:
-        """The coefficient sign * z^z_exp as a Laurent polynomial."""
-        return ZLaurentPoly._make({self.z_exp: self.sign})
 
     def __str__(self) -> str:
         body = []
@@ -577,39 +559,6 @@ class QSeries:
             [ZLaurentPoly.const(c.specialize(z_value)) for c in self.coeffs],
             self.order,
         )
-
-    # -- serialisation -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_exp": self.min_exp,
-            "order": self.order,
-            "coeffs": [
-                {"q": exp, "terms": coeff.to_json_terms()}
-                for exp, coeff in self.enumerate_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QSeries":
-        min_exp = int(data["min_exp"])
-        order = int(data["order"])
-        terms = {}
-        for entry in data["coeffs"]:
-            exp = int(entry["q"])
-            if exp < min_exp or exp >= order:
-                raise ValueError(f"q-exponent {exp} outside [{min_exp}, {order})")
-            if exp in terms:
-                raise ValueError(f"q-exponent {exp} appears twice")
-            terms[exp] = ZLaurentPoly.from_json_terms(entry["terms"])
-        return cls.from_terms(terms, order)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def loads(cls, text: str) -> "QSeries":
-        return cls.from_json_dict(json.loads(text))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -873,20 +822,6 @@ def pochhammer(a: QMonomial, n: int, target_order: int) -> QSeries:
     if target_order <= low:
         return QSeries.zero(target_order)
     return qs_pochhammer_ratio(QSeries.one(target_order - low), [(a, n)], ())
-
-
-def pochhammer_infinite(a: QMonomial, target_order: int) -> QSeries:
-    """The infinite product (a; q)_inf truncated at ``target_order``.
-
-    Converges coefficientwise only when a.q_exp >= 1; factors whose
-    q-exponent reaches the order contribute nothing below it, and
-    :func:`qs_pochhammer_ratio` skips them.
-    """
-    if a.q_exp < 1:
-        raise DivergentProduct(
-            f"(a; q)_inf needs a.q_exp >= 1 for coefficientwise convergence, got {a.q_exp}"
-        )
-    return pochhammer(a, max(0, target_order), target_order)
 
 
 # -- dense z-columns -------------------------------------------------------

@@ -1,4 +1,5 @@
 """Every exported name resolves, the package exports what it re-exports,
+the CLI calls every exported function but a few kept on purpose,
 its value records are frozen, and importing it stays cheap."""
 
 import ast
@@ -7,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -99,3 +101,45 @@ def test_import_pulls_in_neither_dataclasses_nor_inspect():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.stdout == "[]\n"
+
+
+# Every command, each --z mode and both maps, small enough to run traced.
+LIVE_ARGVS = [
+    *(["table", "--t", "3", "--max-n", "12", "--z", z, "--check"]
+      for z in ("tracked", "one", "zero")),
+    ["verify", "--suite", "all", "--t", "1..2", "--order", "12"],
+    ["fold", "--t", "3", "5,5,3~,2"],
+    ["merge", "--t", "3", "[3^2 | 2~,1]"],
+    ["preimages", "--check", "--t", "3", "--map", "fold", "3,3,1"],
+    ["preimages", "--check", "--t", "3", "--map", "merge", "3,3,1"],
+]
+
+# Exported functions no CLI run calls, each kept for a caller outside src/.
+KEPT_UNCALLED = {
+    "qseries.qs_add": "ACCEPT-07 sums fiber weights and ACCEPT-12 checks the ring laws with it",
+    "qseries.qs_invert": "ACCEPT-12 checks inversion",
+    "qseries.bounded_gap_partition_gf": "Breuer-Kronholm's z = 0 case (ACCEPT-03, bench)",
+}
+
+
+def test_every_exported_function_is_live():
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [MODULES["cli"].main(argv) for argv in LIVE_ARGVS]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(LIVE_ARGVS)
+    uncalled = {
+        f"{layer}.{attr}"
+        for layer in ("qseries", "partitions", "maps", "hyper")
+        for attr in MODULES[layer].__all__
+        if isinstance(fn := getattr(MODULES[layer], attr), types.FunctionType)
+        and fn.__code__ not in called
+    }
+    assert uncalled == set(KEPT_UNCALLED)

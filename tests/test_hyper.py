@@ -30,7 +30,6 @@ from overgap.qseries import (
     ZLaurentPoly,
     bounded_gap_overpartition_gf,
     pochhammer,
-    pochhammer_infinite,
     qs_add,
     qs_invert,
     qs_mul,
@@ -66,7 +65,8 @@ def direct_phi(spec, terms, target_order, slack=16):
         for param in spec.denominator:
             denominator = qs_mul(denominator, pochhammer(param, n, width))
         term = qs_mul(numerator, qs_invert(denominator, width))
-        term = term * (spec.argument**n)
+        arg = spec.argument
+        term = term * QMonomial(arg.sign**n, arg.z_exp * n, arg.q_exp * n)
         if shift:
             sign = -1 if (n % 2 and shift % 2) else 1
             term = term * QMonomial(sign, 0, shift * (n * (n - 1) // 2))
@@ -357,12 +357,8 @@ def legacy_chain_lines(t, order):
     )
     lines.append(qs_mul(prefactor, eval_phi(spec_3, None, order)))
 
-    inf_num = qs_mul(
-        pochhammer_infinite(Q(t + 1), order), pochhammer_infinite(Q(2), order)
-    )
-    inf_den = qs_mul(
-        pochhammer_infinite(Q(t + 2), order), pochhammer_infinite(Q(1), order)
-    )
+    inf_num = qs_mul(pochhammer(Q(t + 1), order, order), pochhammer(Q(2), order, order))
+    inf_den = qs_mul(pochhammer(Q(t + 2), order, order), pochhammer(Q(1), order, order))
     spec_4 = HypergeometricSpec(
         (Q(1), NEG_ZQ, Q(1 - t)), (QMonomial(-1, 1, 2), Q(2)), Q(t + 1)
     )
@@ -481,7 +477,8 @@ def legacy_eval_phi(spec, terms, target_order):
             term = div_one_minus(
                 term, QMonomial(param.sign, param.z_exp, param.q_exp + n - 1)
             )
-        term = qs_mul_finite(term, [(arg.q_exp, arg.z_part())])
+        z_part = ZLaurentPoly.monomial(arg.sign, arg.z_exp)
+        term = qs_mul_finite(term, [(arg.q_exp, z_part)])
         if shift:
             sign = ZLaurentPoly.const(-1 if shift % 2 else 1)
             term = qs_mul_finite(term, [((n - 1) * shift, sign)])

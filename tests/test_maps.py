@@ -401,6 +401,30 @@ def test_maps_and_fibers_build_exact_runs(t):
                 assert _exact_runs(member.second) and _exact_runs(merge(member, t))
 
 
+def test_a_float_bound_raises_at_the_call():
+    # t is read through operator.index, as range reads its bounds: a float
+    # t must not leak into the runs, and an index-like t becomes an int
+    gap, beta = op("5,5,3~,2"), Bipartition(3, 2, op("2~,1"))
+    calls = [
+        lambda t: fold(gap, t),
+        lambda t: merge(beta, t),
+        lambda t: fold_preimages(op("3,3,1"), t),
+        lambda t: merge_preimages(op("3,3,1"), t),
+        lambda t: verify_fiber_identity(t, 8),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            call(3.0)
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert _exact_runs(fold(gap, Three())) and _exact_runs(merge(beta, Three()))
+    assert fold(gap, Three()) == fold(gap, 3)
+    assert verify_fiber_identity(Three(), 8).t == 3
+
+
 def test_fiber_aggregate_failure_names_the_coefficient(monkeypatch, capsys):
     real = maps.gf_from_enumeration
 

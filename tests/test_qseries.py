@@ -25,7 +25,6 @@ from overgap.qseries import (
     bounded_gap_overpartition_gf,
     bounded_gap_partition_gf,
     pochhammer,
-    pochhammer_infinite,
     qs_add,
     qs_invert,
     qs_mul,
@@ -89,11 +88,6 @@ def test_z_poly_unit_monomial():
     assert not zp({}).is_unit_monomial()
 
 
-def test_z_poly_json_round_trip():
-    poly = zp({-2: 10**40, 5: -3})
-    assert ZLaurentPoly.from_json_terms(poly.to_json_terms()) == poly
-
-
 # -- QMonomial -----------------------------------------------------------
 
 
@@ -102,10 +96,7 @@ def test_monomial_algebra():
     assert str(m) == "-z*q"
     assert m * m == QMonomial(1, 2, 2)
     assert (m * m) / m == m
-    assert m**3 == QMonomial(-1, 3, 3)
-    assert m**0 == QMonomial(1, 0, 0)
     assert Q(5) / Q(2) == Q(3)
-    assert m.z_part() == zp({1: -1})
 
 
 @pytest.mark.parametrize("sign", [0, 2, -2])
@@ -355,40 +346,32 @@ def test_mul_finite_shifts_window():
 
 def test_infinite_product_euler():
     assert_series_matches(
-        pochhammer_infinite(Q(1), 9),
+        pochhammer(Q(1), 9, 9),
         {(0, 0): 1, (1, 0): -1, (2, 0): -1, (5, 0): 1, (7, 0): 1},
     )
 
 
 def test_infinite_product_shifted():
     assert_series_matches(
-        pochhammer_infinite(Q(2), 6),
+        pochhammer(Q(2), 6, 6),
         {(0, 0): 1, (2, 0): -1, (3, 0): -1, (4, 0): -1},
     )
 
 
 def test_infinite_product_marked():
     assert_series_matches(
-        pochhammer_infinite(NEG_ZQ, 4),
+        pochhammer(NEG_ZQ, 4, 4),
         {(0, 0): 1, (1, 1): 1, (2, 1): 1, (3, 1): 1, (3, 2): 1},
     )
-
-
-def test_infinite_product_divergence():
-    with pytest.raises(DivergentProduct):
-        pochhammer_infinite(QMonomial(-1, 1, 0), 5)
-    with pytest.raises(DivergentProduct):
-        pochhammer_infinite(QMonomial(1, 0, -1), 5)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: pochhammer_infinite(Q(1), 0),
         lambda: pochhammer(Q(1), 2, 0),
         lambda: pochhammer(QMonomial(1, 0, -2), 3, -3),
     ],
-    ids=["infinite-order-0", "finite-order-0", "laurent-at-lowest-exp"],
+    ids=["finite-order-0", "laurent-at-lowest-exp"],
 )
 def test_pochhammer_on_an_empty_window_is_zero(build):
     # each window ends at or below the product's lowest exponent
@@ -718,31 +701,6 @@ def test_closed_form_avoids_general_kernels(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-# -- serialization -------------------------------------------------------
-
-
-def test_series_json_round_trip():
-    gf = bounded_gap_overpartition_gf(2, 9)
-    assert QSeries.loads(gf.dumps()) == gf
-    huge = QSeries.from_terms({-3: zp({-2: 10**45, 0: -7}), 4: 1}, 8)
-    assert QSeries.from_json_dict(huge.to_json_dict()) == huge
-
-
-def test_series_json_rejects_a_repeated_q_exponent():
-    text = (
-        '{"coeffs":[{"q":1,"terms":[{"c":"2","z":0}]},{"q":1,"terms":[{"c":"7","z":0}]}],'
-        '"min_exp":0,"order":5}'
-    )
-    with pytest.raises(ValueError, match="q-exponent 1 appears twice"):
-        QSeries.loads(text)
-
-
-def test_series_json_rejects_a_repeated_z_exponent():
-    text = '{"coeffs":[{"q":1,"terms":[{"c":"2","z":3},{"c":"7","z":3}]}],"min_exp":0,"order":5}'
-    with pytest.raises(ValueError, match="z-exponent 3 appears twice"):
-        QSeries.loads(text)
-
-
 def test_str_rendering():
     assert str(QSeries.from_terms({1: zp({0: 1, 1: 1})}, 2)) == "(z + 1)*q + O(q^2)"
     assert str(QSeries.zero(4)) == "0 + O(q^4)"
@@ -823,7 +781,8 @@ monomials = st.builds(
 @example(QSeries(-1, [zp({-1: 1, 2: 3})], 2), QMonomial(1, -1, -2))
 @example(QSeries(1, [zp({0: 1}), zp({1: 4})], 4), QMonomial(-1, 2, 1))
 def test_mul_one_minus_matches_mul_finite(a, mono):
-    expected = qs_mul_finite(a, [(0, zp({0: 1})), (mono.q_exp, -mono.z_part())])
+    z_part = ZLaurentPoly.monomial(mono.sign, mono.z_exp)
+    expected = qs_mul_finite(a, [(0, zp({0: 1})), (mono.q_exp, -z_part)])
     assert mul_one_minus(a, mono) == expected
 
 
@@ -863,11 +822,6 @@ def test_subs_z_is_a_homomorphism(a, z_value):
     direct = squared.subs_z(z_value)
     via = qs_mul(a.subs_z(z_value), a.subs_z(z_value))
     assert direct.eq_up_to(via, min(direct.order, via.order))
-
-
-@given(q_series())
-def test_json_round_trip_random(a):
-    assert QSeries.loads(a.dumps()) == a
 
 
 @settings(max_examples=40)
@@ -1076,7 +1030,8 @@ def test_monomial_product_is_a_shift(mono):
         pochhammer(QMonomial(-1, 1, -2), 3, 6),
     ]
     for a in operands:
-        expected = legacy_mul_finite(a, [(mono.q_exp, mono.z_part())])
+        z_part = ZLaurentPoly.monomial(mono.sign, mono.z_exp)
+        expected = legacy_mul_finite(a, [(mono.q_exp, z_part)])
         assert a * mono == expected
         assert mono * a == expected
 
@@ -1545,10 +1500,10 @@ def test_qs_sum_matches_the_left_fold_of_plus(seed):
         folded = QSeries.zero(order)
         for term in terms:
             folded = folded + term
-        before = [term.dumps() for term in terms]
+        before = [poly_from_series(term) for term in terms]
         summed = qseries.qs_sum(iter(terms), order)
         assert summed == folded
-        assert [term.dumps() for term in terms] == before  # no row merged in place
+        assert [poly_from_series(term) for term in terms] == before  # no row merged in place
         # `+` is itself a two-term qs_sum, so also check against the oracle
         reference: dict = {}
         for term in terms:
