@@ -132,10 +132,14 @@ def merge(beta: Bipartition, t: int) -> Overpartition:
     t = operator.index(t)
     if beta.t != t:
         raise NotInDomain(f"{beta} is a bipartition at t={beta.t}, but t={t} was given")
-    rest = _without_t(beta.second, t)
-    total_t = beta.t_count + beta.second.multiplicity(t)
-    head = [(t, total_t, False)] if total_t else []
-    return Overpartition._checked(head + rest)
+    # parts of the second component are at most t, so its t's (if any)
+    # are its leading run
+    runs = beta.second.runs
+    total = beta.t_count
+    if runs[0][0] == t:
+        total += runs[0][1]
+        runs = runs[1:]
+    return Overpartition._checked(((t, total, False),) + runs if total else runs)
 
 
 def _without_t(pi: Overpartition, t: int) -> list[tuple[int, int, bool]]:
@@ -204,11 +208,16 @@ def fold_preimages(mu: Overpartition, t: int) -> PreimageReport:
     times t.  Whenever a zero residue was used, some part of the result
     is a multiple of t and marking the first occurrence of the smallest
     such multiple gives one further preimage.  Fiber order: length
-    ascending, the unmarked variant before the marked one.
+    ascending, the unmarked variant before the marked one.  With no part
+    t in ``mu`` (m = 0, as for every image when t exceeds its weight)
+    the only length is that of ``mu``, with quotient 0 and every run
+    copied, so the fiber is ``mu`` itself and is returned as such.
     """
     t = operator.index(t)
     _require_bounded_parts(mu, t)
     m = mu.multiplicity(t)
+    if m == 0:
+        return _preimage_report(mu, t, [mu])
     pool = _without_t(mu, t)
     r = sum(mult for _, mult, _ in pool)
     fiber = []

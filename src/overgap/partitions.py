@@ -33,6 +33,7 @@ tests' oracle of the shape count and the fiber check's.
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_left
 from itertools import product
@@ -86,7 +87,9 @@ class Overpartition:
     mark flag says whether the first part of the run is overlined.
 
     The constructor converts each run to ``(int, int, bool)`` and then
-    checks it.  ``_checked`` only checks, for runs that are already ints
+    checks it: part and multiplicity are read through ``operator.index``,
+    so a float or a string raises ``TypeError``, and the mark through
+    ``bool``.  ``_checked`` only checks, for runs that are already ints
     and bools (the maps build theirs from checked runs), and ``_trusted``
     does neither, for enumeration, which builds canonical runs only.
     """
@@ -94,7 +97,7 @@ class Overpartition:
     __slots__ = ("runs",)
 
     def __init__(self, runs):
-        runs = tuple((int(p), int(m), bool(o)) for p, m, o in runs)
+        runs = tuple((operator.index(p), operator.index(m), bool(o)) for p, m, o in runs)
         _check_runs(runs)
         self.runs = runs
 
@@ -118,12 +121,13 @@ class Overpartition:
         """Build from (part, marked) pairs in any order.
 
         At most one occurrence of each size may be marked; the mark is
-        normalised onto the first occurrence of that size.
+        normalised onto the first occurrence of that size.  Parts are
+        read through ``operator.index``, as the constructor reads them.
         """
         counts: dict[int, int] = {}
         marked: dict[int, int] = {}
         for part, flag in parts:
-            part = int(part)
+            part = operator.index(part)
             counts[part] = counts.get(part, 0) + 1
             if flag:
                 marked[part] = marked.get(part, 0) + 1
@@ -147,7 +151,7 @@ class Overpartition:
 
     @property
     def num_marked(self) -> int:
-        return sum(1 for _, _, o in self.runs if o)
+        return [o for _, _, o in self.runs].count(True)
 
     @property
     def largest(self) -> int:
@@ -205,13 +209,19 @@ class Bipartition(
 
     The first component records only how many copies of t it holds; the
     second is nonempty and may mark any of its sizes, including t.
+
+    The constructor reads ``t`` and ``t_count`` through ``operator.index``
+    (a float or a string raises ``TypeError``) and then checks all three
+    fields; ``_make``, which ``_replace`` calls, goes through it too.
+    ``_trusted`` does neither, for enumeration, which builds valid
+    bipartitions only.
     """
 
     __slots__ = ()
 
     def __new__(cls, t: int, t_count: int, second: Overpartition):
-        t = int(t)
-        t_count = int(t_count)
+        t = operator.index(t)
+        t_count = operator.index(t_count)
         if t < 1:
             raise InvalidPartition("the part bound t must be positive")
         if t_count < 0:
@@ -225,6 +235,11 @@ class Bipartition(
     @classmethod
     def _make(cls, iterable) -> "Bipartition":  # _replace calls it: keep the checks
         return cls(*iterable)
+
+    @classmethod
+    def _trusted(cls, t: int, t_count: int, second: Overpartition) -> "Bipartition":
+        # enumeration fast path: caller guarantees ints and a valid member
+        return tuple.__new__(cls, (t, t_count, second))
 
     @property
     def weight(self) -> int:
@@ -416,12 +431,19 @@ def iter_bounded_parts(t: int, n: int) -> Iterator[Overpartition]:
 
 
 def iter_bipartitions(t: int, n: int) -> Iterator[Bipartition]:
-    """All bipartitions of weight n for the bound t, t_count ascending."""
+    """All bipartitions of weight n for the bound t, t_count ascending.
+
+    For each t_count the second components come in
+    :func:`iter_overpartitions` order.  Every member is valid by
+    construction, so it is built through ``Bipartition._trusted``
+    without the constructor's conversion and checks; ``t`` must be a
+    positive int.
+    """
     if n < 1:
         return
     for count in range((n - 1) // t + 1):
         for second in iter_overpartitions(n - t * count, max_part=t):
-            yield Bipartition(t, count, second)
+            yield Bipartition._trusted(t, count, second)
 
 
 _FAMILIES = ("bounded_gap", "bounded_parts", "bipartition")

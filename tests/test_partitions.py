@@ -83,6 +83,23 @@ def test_checked_runs_raise_the_constructor_message(runs):
     assert str(checked.value) == str(public.value)
 
 
+def test_constructors_refuse_non_integral_numbers():
+    # parts, multiplicities, t and t_count are read as integers, never
+    # truncated; marks are read as truth values
+    for runs in ([(2.5, 1, False)], [(2, 1.9, True)], [("3", 1, False)]):
+        with pytest.raises(TypeError):
+            Overpartition(runs)
+    for pairs in ([(2.5, False)], [("3", True)]):
+        with pytest.raises(TypeError):
+            Overpartition.from_parts(pairs)
+    with pytest.raises(TypeError):
+        Bipartition(3.7, 1, op("3"))
+    with pytest.raises(TypeError):
+        Bipartition(3, 1.2, op("3"))
+    assert Overpartition([(2, 1, 1), (1, 2, "")]).runs == ((2, 1, True), (1, 2, False))
+    assert Overpartition.from_parts([(True, 0)]).runs == ((1, 1, False),)
+
+
 def test_from_parts_normalizes_mark_position():
     a = Overpartition.from_parts([(3, False), (3, True), (1, False)])
     b = Overpartition.from_parts([(3, True), (3, False), (1, False)])
@@ -228,6 +245,22 @@ def test_enumerated_objects_are_canonical():
         for pi in iter_overpartitions(n):
             assert Overpartition(pi.runs) == pi
             assert pi.weight == n
+    # enumerated bipartitions skip the constructor: they must be exactly
+    # what it builds, in the order built through it
+    for t in (1, 3, 5):
+        for n in range(1, 9):
+            listed = list(iter_bipartitions(t, n))
+            for beta in listed:
+                assert type(beta) is Bipartition
+                assert type(beta.t) is type(beta.t_count) is int
+                assert Bipartition(*beta) == beta
+                assert beta.weight == n
+            checked = [
+                str(Bipartition(t, count, second))
+                for count in range((n - 1) // t + 1)
+                for second in iter_overpartitions(n - t * count, max_part=t)
+            ]
+            assert [str(beta) for beta in listed] == checked
 
 
 def test_max_part_restriction():
