@@ -303,15 +303,30 @@ def _cmd_preimages(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    members = [str(member) for member in report.fiber]
+    census = [
+        ("same_overlines", report.same_marks),
+        ("one_more_overline", report.one_more_mark),
+        ("expected_size", report.expected_size),
+    ]
     if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.output)
+        _emit_fields([("mu", str(report.mu)), ("t", report.t), ("fiber", members), *census], args)
     else:
-        lines = [str(member) for member in report.fiber]
-        lines.append(f"same_overlines: {report.same_marks}")
-        lines.append(f"one_more_overline: {report.one_more_mark}")
-        lines.append(f"expected_size: {report.expected_size}")
+        lines = members + [f"{key}: {value}" for key, value in census]
         _emit("\n".join(lines) + "\n", args.output)
     return 0
+
+
+def _with_difference(entry: dict, diff, sides: tuple[str, str]) -> dict:
+    """``entry`` with a check's first difference ``(q, z, lhs, rhs)``
+    added as its ``first_difference`` object, the two coefficients under
+    the names in ``sides``; a falsy ``diff`` (none found) adds nothing."""
+    if diff:
+        q_exp, z_exp, lhs, rhs = diff
+        entry["first_difference"] = {
+            "q": q_exp, "z": z_exp, sides[0]: str(lhs), sides[1]: str(rhs)
+        }
+    return entry
 
 
 def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) -> list[dict]:
@@ -325,11 +340,30 @@ def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) ->
             # one (pass, details) pair per entry: the fibers suite gives
             # one per map, the others one each
             if suite == "fibers":
-                checks = [verify_fiber_identity(t, max_n, which) for which in ("fold", "merge")]
-                results = [(check.passed, check.to_json_dict()) for check in checks]
+                results = []
+                for which in ("fold", "merge"):
+                    check = verify_fiber_identity(t, max_n, which)
+                    details = {
+                        "which": check.which, "t": check.t, "max_n": check.max_n,
+                        "pass": check.passed, "images_checked": check.images_checked,
+                        "first_failure": check.first_failure,
+                    }
+                    _with_difference(details, check.first_difference, ("fibers", "enumeration"))
+                    results.append((check.passed, details))
             elif suite == "chain":
                 report = verify_identity_chain(t, order)
-                results = [(report.passed, report.to_json_dict())]
+                lines = [
+                    _with_difference(
+                        {"label": line.label, "equal_to_previous": line.equal_to_previous},
+                        line.first_difference,
+                        ("line", "previous"),
+                    )
+                    for line in report.lines
+                ]
+                details = {
+                    "t": report.t, "order": report.order, "lines": lines, "pass": report.passed
+                }
+                results = [(report.passed, details)]
             else:
                 if suite == "gf":
                     series = bounded_gap_overpartition_gf(t, order)
@@ -352,12 +386,7 @@ def _verify_entries(suites: list[str], ts: list[int], order: int, max_n: int) ->
                     details = {k: str(v) for k, v in params.items()}
                     sides = ("series", "transformed")
                 # diff is the check's first difference, None when the sides agree
-                if diff:
-                    n, m, lhs, rhs = diff
-                    details["first_difference"] = {
-                        "q": n, "z": m, sides[0]: str(lhs), sides[1]: str(rhs)
-                    }
-                results = [(diff is None, details)]
+                results = [(diff is None, _with_difference(details, diff, sides))]
             # the fibers suite records its weight ceiling as the order
             span = max_n if suite == "fibers" else order
             entries += (

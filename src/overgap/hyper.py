@@ -411,15 +411,6 @@ class LineCheck(NamedTuple):
     # first coefficient where the two differ
     first_difference: tuple[int, int, int, int] | None = None
 
-    def to_json_dict(self) -> dict:
-        entry = {"label": self.label, "equal_to_previous": self.equal_to_previous}
-        if self.first_difference is not None:
-            q_exp, z_exp, value, previous = self.first_difference
-            entry["first_difference"] = {
-                "q": q_exp, "z": z_exp, "line": str(value), "previous": str(previous)
-            }
-        return entry
-
 
 class ChainReport(NamedTuple):
     """Pairwise comparison results along the derivation chain."""
@@ -428,14 +419,6 @@ class ChainReport(NamedTuple):
     order: int
     lines: tuple[LineCheck, ...]
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "order": self.order,
-            "lines": [line.to_json_dict() for line in self.lines],
-            "pass": self.passed,
-        }
 
 
 def compare_lines(t: int, lines: list[tuple[str, QSeries]], order: int) -> ChainReport:

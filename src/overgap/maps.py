@@ -151,31 +151,30 @@ def _without_t(pi: Overpartition, t: int) -> list[tuple[int, int, bool]]:
 class PreimageReport(NamedTuple):
     """A complete fiber over one bounded-parts overpartition.
 
-    ``same_marks`` counts fiber members with exactly the image's number
-    of marks and ``one_more_mark`` those with one extra; together they
-    cover the fiber.
+    The census is read off the members: ``same_marks`` counts those with
+    exactly the image's number of marks and ``one_more_mark`` those with
+    one extra, so a copy made with ``_replace(fiber=...)`` reports the
+    census of its own fiber.  For a complete fiber the two cover it.
     """
 
     mu: Overpartition
     t: int
     fiber: tuple
-    same_marks: int
-    one_more_mark: int
+
+    @property
+    def same_marks(self) -> int:
+        base = self.mu.num_marked
+        return sum(member.num_marked == base for member in self.fiber)
+
+    @property
+    def one_more_mark(self) -> int:
+        base = self.mu.num_marked + 1
+        return sum(member.num_marked == base for member in self.fiber)
 
     @property
     def expected_size(self) -> int:
         m = self.mu.multiplicity(self.t)
         return 2 * m if self.mu.num_parts == m else 2 * m + 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": str(self.mu),
-            "t": self.t,
-            "fiber": [str(member) for member in self.fiber],
-            "same_overlines": self.same_marks,
-            "one_more_overline": self.one_more_mark,
-            "expected_size": self.expected_size,
-        }
 
 
 def _require_bounded_parts(mu: Overpartition, t: int) -> None:
@@ -188,14 +187,6 @@ def _require_bounded_parts(mu: Overpartition, t: int) -> None:
             else f"the part {t} is marked"
         )
         raise NotInDomain(f"{mu} is not in the bounded-parts family for t={t}: {reason}")
-
-
-def _preimage_report(mu: Overpartition, t: int, fiber: list) -> PreimageReport:
-    """The fiber with its mark census: members with the image's number of
-    marks, and members with one more."""
-    marks = [member.num_marked for member in fiber]
-    base = mu.num_marked
-    return PreimageReport(mu, t, tuple(fiber), marks.count(base), marks.count(base + 1))
 
 
 def fold_preimages(mu: Overpartition, t: int) -> PreimageReport:
@@ -217,7 +208,7 @@ def fold_preimages(mu: Overpartition, t: int) -> PreimageReport:
     _require_bounded_parts(mu, t)
     m = mu.multiplicity(t)
     if m == 0:
-        return _preimage_report(mu, t, [mu])
+        return PreimageReport(mu, t, (mu,))
     pool = _without_t(mu, t)
     r = sum(mult for _, mult, _ in pool)
     fiber = []
@@ -249,7 +240,7 @@ def fold_preimages(mu: Overpartition, t: int) -> PreimageReport:
             part, mult, _ = runs[last]
             runs[last] = (part, mult, True)
             fiber.append(Overpartition._checked(runs))
-    return _preimage_report(mu, t, fiber)
+    return PreimageReport(mu, t, tuple(fiber))
 
 
 def merge_preimages(mu: Overpartition, t: int) -> PreimageReport:
@@ -269,7 +260,7 @@ def merge_preimages(mu: Overpartition, t: int) -> PreimageReport:
         for marked in (False, True):
             second = Overpartition._checked([(t, in_second, marked)] + rest)
             fiber.append(Bipartition(t, m - in_second, second))
-    return _preimage_report(mu, t, fiber)
+    return PreimageReport(mu, t, tuple(fiber))
 
 
 class FiberCheck(NamedTuple):
@@ -285,22 +276,6 @@ class FiberCheck(NamedTuple):
     # first coefficient where the aggregate census and enumeration differ
     first_difference: tuple[int, int, int, int] | None = None
 
-    def to_json_dict(self) -> dict:
-        entry = {
-            "which": self.which,
-            "t": self.t,
-            "max_n": self.max_n,
-            "pass": self.passed,
-            "images_checked": self.images_checked,
-            "first_failure": self.first_failure,
-        }
-        if self.first_difference is not None:
-            q_exp, z_exp, fibers, counted = self.first_difference
-            entry["first_difference"] = {
-                "q": q_exp, "z": z_exp, "fibers": str(fibers), "enumeration": str(counted)
-            }
-        return entry
-
 
 def verify_fiber_identity(t: int, max_n: int, which: str = "fold") -> FiberCheck:
     """Check the constructed fibers against literal enumeration.
@@ -315,9 +290,12 @@ def verify_fiber_identity(t: int, max_n: int, which: str = "fold") -> FiberCheck
     generating function of the map's domain family computed by
     enumeration.  The census is kept as integer counts per weight and
     number of marks; polynomials are built only for the final
-    comparison and for a failure message.
+    comparison and for a failure message.  The bound t must be
+    positive, as for :func:`fold`.
     """
     t = operator.index(t)
+    if t < 1:
+        raise ValueError("the bound t must be positive")
     if which not in ("fold", "merge"):
         raise ValueError("which must be 'fold' or 'merge'")
     preimages = fold_preimages if which == "fold" else merge_preimages

@@ -436,10 +436,11 @@ def iter_bipartitions(t: int, n: int) -> Iterator[Bipartition]:
     For each t_count the second components come in
     :func:`iter_overpartitions` order.  Every member is valid by
     construction, so it is built through ``Bipartition._trusted``
-    without the constructor's conversion and checks; ``t`` must be a
-    positive int.
+    without the constructor's conversion and checks; ``t`` must be an
+    int.  A bound below 1 has no bipartitions, as it has no bounded-parts
+    members.
     """
-    if n < 1:
+    if n < 1 or t < 1:
         return
     for count in range((n - 1) // t + 1):
         for second in iter_overpartitions(n - t * count, max_part=t):

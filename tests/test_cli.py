@@ -285,13 +285,7 @@ def test_preimages_check_detects_wrong_fiber(capsys, monkeypatch):
 
     def corrupted(mu, t):
         report = real(mu, t)
-        return type(report)(
-            mu=report.mu,
-            t=report.t,
-            fiber=report.fiber[:-1],
-            same_marks=report.same_marks,
-            one_more_mark=report.one_more_mark,
-        )
+        return report._replace(fiber=report.fiber[:-1])
 
     monkeypatch.setattr(cli, "fold_preimages", corrupted)
     code, _, err = run(

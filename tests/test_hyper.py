@@ -406,7 +406,7 @@ def test_chain_at_order_one_is_all_zero():
         assert series == QSeries.zero(1)
 
 
-def test_compare_lines_detects_mismatch():
+def test_compare_lines_detects_mismatch(capsys, monkeypatch):
     lines = chain_lines(2, 12)
     tampered = lines[:3] + [("closed_form", chain_lines(3, 12)[-1][1])]
     report = compare_lines(2, tampered, 12)
@@ -419,20 +419,24 @@ def test_compare_lines_detects_mismatch():
     )
     assert tampered[3][1].first_difference(tampered[2][1], 12) == closed.first_difference
     assert all(line.first_difference is None for line in report.lines[:3])
-    assert report.to_json_dict()["lines"][3]["first_difference"] == {
+    # the verify JSON of the same chain names the same difference
+    monkeypatch.setattr(hyper, "chain_lines", lambda t, order: tampered)
+    assert main(["verify", "--suite", "chain", "--t", "2", "--order", "12"]) == 2
+    payload = json.loads(capsys.readouterr().out)[0]["details"]
+    assert payload["lines"][3]["first_difference"] == {
         "q": q_exp, "z": z_exp, "line": str(value), "previous": str(previous)
     }
-    assert all("first_difference" not in line for line in report.to_json_dict()["lines"][:3])
+    assert all("first_difference" not in line for line in payload["lines"][:3])
 
 
-def test_chain_report_json():
-    payload = verify_identity_chain(2, 10).to_json_dict()
+def test_chain_report_json(capsys):
+    assert main(["verify", "--suite", "chain", "--t", "2", "--order", "10"]) == 0
+    payload = json.loads(capsys.readouterr().out)[0]["details"]
     assert payload["t"] == 2 and payload["order"] == 10 and payload["pass"] is True
     assert [line["label"] for line in payload["lines"]] == [
         label for label, _ in chain_lines(2, 6)
     ]
     assert all(line["equal_to_previous"] is True for line in payload["lines"])
-    json.dumps(payload)
 
 
 def test_chain_input_validation():

@@ -164,8 +164,16 @@ def test_fold_fiber_mixed_parts():
 def test_preimage_report_repr():
     assert repr(fold_preimages(op("3,1"), 3)) == (
         "PreimageReport(mu=Overpartition('3,1'), t=3, fiber=(Overpartition('4'), "
-        "Overpartition('3,1'), Overpartition('3~,1')), same_marks=2, one_more_mark=1)"
+        "Overpartition('3,1'), Overpartition('3~,1')))"
     )
+
+
+def test_preimage_report_copy_reads_its_census_off_its_fiber():
+    report = fold_preimages(op("3,3,3"), 3)
+    copy = report._replace(fiber=report.fiber[:1])
+    assert PreimageReport._fields == ("mu", "t", "fiber")
+    assert (report.same_marks, report.one_more_mark) == (3, 3)
+    assert (copy.same_marks, copy.one_more_mark) == (1, 0)
 
 
 def test_fold_fiber_without_bound_parts_is_trivial():
@@ -278,8 +286,9 @@ def test_merge_fibers_exhaustive():
 # -- reports ----------------------------------------------------------------
 
 
-def test_preimage_report_json():
-    data = fold_preimages(op("3,3,3"), 3).to_json_dict()
+def test_preimage_report_json(capsys):
+    assert main(["preimages", "--t", "3", "--map", "fold", "3,3,3", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data == {
         "mu": "3,3,3",
         "t": 3,
@@ -288,20 +297,28 @@ def test_preimage_report_json():
         "one_more_overline": 3,
         "expected_size": 6,
     }
-    json.dumps(data)  # must be serializable as-is
 
 
-def test_fiber_identity_checker():
+def test_fiber_identity_checker(capsys):
     for which in ("fold", "merge"):
         check = verify_fiber_identity(2, 10, which)
         assert check.passed
         assert check.images_checked > 0
-        payload = check.to_json_dict()
-        assert payload["pass"] is True
-        assert payload["which"] == which
-        json.dumps(payload)
     with pytest.raises(ValueError):
         verify_fiber_identity(2, 10, "unknown")
+    assert main(["verify", "--suite", "fibers", "--t", "2", "--max-n", "10"]) == 0
+    entries = json.loads(capsys.readouterr().out)
+    assert [entry["details"]["which"] for entry in entries] == ["fold", "merge"]
+    assert all(entry["details"]["pass"] is True for entry in entries)
+
+
+def test_fiber_identity_refuses_bounds_below_one():
+    # as fold does; at t = 0 merge's fibers used to divide by zero and at
+    # t = -1 the check passed over no images
+    for t in (0, -1):
+        for which in ("fold", "merge"):
+            with pytest.raises(ValueError, match="the bound t must be positive"):
+                verify_fiber_identity(t, 3, which)
 
 
 @pytest.mark.parametrize(

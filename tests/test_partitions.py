@@ -331,6 +331,13 @@ def test_bipartition_enumeration():
     assert counts == sorted(counts)
 
 
+def test_bipartition_enumeration_below_bound_one_is_empty():
+    # as for the bounded-parts family, a bound below 1 has no members
+    for t in (0, -1):
+        assert list(iter_bipartitions(t, 3)) == []
+        assert list(iter_bounded_parts(t, 3)) == []
+
+
 # -- enumeration generating functions -------------------------------------
 
 
